@@ -34,9 +34,9 @@ echo "== chaos smoke (seeded faults, hard timeout, must never hang) =="
 # budget and an armed watchdog. Two acceptable outcomes: the retries
 # recover everything (exit 0) or the run fails *cleanly* with a typed
 # PcommError (exit 2). A hang (timeout exit 124) or a panic/abort is a
-# CI failure. `dup` is deliberately absent: duplicated eager messages
-# can satisfy a later iteration's receive with stale data, turning a
-# clean chaos error into an assertion panic.
+# CI failure. `dup` is deliberately absent from the p2p smokes:
+# duplicated eager messages can satisfy a later iteration's receive with
+# stale data, turning a clean chaos error into an assertion panic.
 chaos_smoke() {
     name="$1"; spec="$2"
     echo "-- $name under PCOMM_FAULTS='$spec'"
@@ -53,6 +53,10 @@ chaos_smoke() {
 cargo build --release --offline --example pingpong --example ring_pipeline
 chaos_smoke pingpong      "seed=42,drop=0.05,delay=0.05:200,reorder=0.02,retries=3"
 chaos_smoke ring_pipeline "seed=42,drop=0.05,delay=0.05:200,reorder=0.02,retries=3"
+# ring_pipeline uses only partitioned traffic, which the in-process
+# channel moves exactly once (DESIGN.md §8): a duplicate decays to clean
+# delivery there, so this smoke may include `dup`.
+chaos_smoke ring_pipeline "seed=42,drop=0.05,delay=0.05:200,dup=0.05,reorder=0.02,retries=3"
 # Guaranteed loss: every attempt drops, retries exhaust — the run must
 # come back as a clean MessageLost/Stall error, never a hang.
 chaos_smoke pingpong      "seed=7,drop=1.0,retries=2"

@@ -31,7 +31,7 @@
 //! 2. A posted destination buffer stays exclusively borrowed and alive
 //!    until its `completion` is set (receivers block or own the buffer).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,9 +40,14 @@ use pcomm_trace::{EventKind, FaultAction, FaultKind, FaultPlan, Trace};
 
 use crate::error::{BlockedWait, PcommError, QueueEntry, RankAborted, StallReport};
 use crate::hotpath;
+use crate::part::{ChannelHalf, PartChannel};
 use crate::sync::{Condvar, Mutex};
 
 use crate::sync::Completion;
+
+/// Registry key of an in-process partitioned pair: `(partitioned ctx,
+/// src rank, dst rank)`.
+pub(crate) type PairKey = (u64, usize, usize);
 
 /// Slice length for abort-aware blocking waits: blocked threads park in
 /// slices of this and poll the abort flag between them. Short enough
@@ -347,6 +352,11 @@ pub(crate) struct Fabric {
     ctx_counters: Mutex<HashMap<(usize, u64, u8), u64>>,
     /// Window registry for collective window creation.
     win_registry: Mutex<HashMap<u64, Arc<crate::rma::WinMem>>>,
+    /// Unpaired in-process partitioned channels by `(partitioned ctx,
+    /// src, dst)`, oldest first. A queue only ever holds halves of one
+    /// side: the opposite side's next init takes the oldest (MPI's
+    /// matching order).
+    part_pairs: Mutex<HashMap<PairKey, VecDeque<Arc<PartChannel>>>>,
     win_cv: Condvar,
     /// Rank-level barrier (sense-reversing, abort-aware).
     barrier_state: Mutex<BarrierState>,
@@ -424,6 +434,7 @@ impl Fabric {
                 .collect(),
             ctx_counters: Mutex::new(HashMap::new()),
             win_registry: Mutex::new(HashMap::new()),
+            part_pairs: Mutex::new(HashMap::new()),
             win_cv: Condvar::new(),
             barrier_state: Mutex::new(BarrierState {
                 count: 0,
@@ -533,7 +544,7 @@ impl Fabric {
     }
 
     #[inline]
-    fn touch(&self) {
+    pub(crate) fn touch(&self) {
         self.activity.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -705,6 +716,109 @@ impl Fabric {
                 std::panic::panic_any(RankAborted);
             }
             self.win_cv.wait_timeout(&mut reg, WAIT_SLICE);
+        }
+    }
+
+    /// Match one half of an in-process partitioned request, once, at
+    /// init: take the oldest unpaired opposite half on `key` and install
+    /// `half` into its channel, or park a new channel holding only
+    /// `half` for the peer's init to find. Both sides get the same
+    /// channel either way, so neither waits for the other here. Layouts
+    /// that disagree are [`PcommError::Misuse`] of `rank`.
+    pub(crate) fn pair_part_channel(
+        &self,
+        key: PairKey,
+        rank: usize,
+        sender: bool,
+        half: ChannelHalf,
+    ) -> Result<Arc<PartChannel>, PcommError> {
+        self.touch();
+        let mut pairs = self.part_pairs.lock();
+        let waiting = pairs.entry(key).or_default();
+        if !waiting.front().is_some_and(|ch| ch.awaits(sender)) {
+            let ch = Arc::new(PartChannel::new(sender, half));
+            waiting.push_back(Arc::clone(&ch));
+            return Ok(ch);
+        }
+        let ch = waiting.pop_front().expect("front checked above");
+        if waiting.is_empty() {
+            pairs.remove(&key);
+        }
+        drop(pairs);
+        ch.join(rank, sender, half)?;
+        Ok(ch)
+    }
+
+    /// Withdraw `ch` if it is still waiting for its peer (its one half
+    /// is being dropped), so a later init on `key` pairs with a live
+    /// request instead. A paired channel is not in the registry: no-op.
+    pub(crate) fn withdraw_part_channel(&self, key: PairKey, ch: &Arc<PartChannel>) {
+        let mut pairs = self.part_pairs.lock();
+        if let Some(waiting) = pairs.get_mut(&key) {
+            waiting.retain(|c| !Arc::ptr_eq(c, ch));
+            if waiting.is_empty() {
+                pairs.remove(&key);
+            }
+        }
+    }
+
+    /// The fault gate of every transfer that moves pinned bytes exactly
+    /// once: a rendezvous RTS, a wire-stream range, an in-process
+    /// partitioned channel message. Duplicating or holding one back
+    /// would alias or outlive its buffer, so Duplicate and Reorder decay
+    /// to clean delivery, Delay sleeps, and Drop consumes retries —
+    /// exhausting them fails the universe with
+    /// [`PcommError::MessageLost`] and returns `false`: the message is
+    /// lost for good, and its waiters unwind via the abort. Always
+    /// `true` outside chaos runs.
+    pub(crate) fn fault_gate(&self, src_rank: usize, dst: usize, ctx: u64, tag: i64) -> bool {
+        let Some(fs) = &self.fault else {
+            return true;
+        };
+        let seq = fs.next_seq(src_rank, dst, ctx, tag);
+        let mut attempt: u32 = 0;
+        loop {
+            match fs.plan.decide(src_rank, dst, ctx, tag, seq, attempt) {
+                FaultAction::Drop => {
+                    let dropped_attempt = attempt;
+                    self.trace
+                        .emit(src_rank as u16, || EventKind::FaultInjected {
+                            fault: FaultKind::Drop,
+                            dst: dst as u16,
+                            tag,
+                            arg: dropped_attempt as u64,
+                        });
+                    if attempt >= fs.plan.max_retries {
+                        self.fail(PcommError::MessageLost {
+                            src: src_rank,
+                            dst,
+                            tag,
+                            attempts: attempt + 1,
+                        });
+                        return false;
+                    }
+                    attempt += 1;
+                    let retry = attempt;
+                    self.trace
+                        .emit(src_rank as u16, || EventKind::RetryAttempt {
+                            dst: dst as u16,
+                            attempt: retry as u16,
+                            tag,
+                        });
+                }
+                FaultAction::Delay { us } => {
+                    self.trace
+                        .emit(src_rank as u16, || EventKind::FaultInjected {
+                            fault: FaultKind::Delay,
+                            dst: dst as u16,
+                            tag,
+                            arg: us,
+                        });
+                    std::thread::sleep(Duration::from_micros(us));
+                    return true;
+                }
+                _ => return true,
+            }
         }
     }
 
@@ -1005,57 +1119,12 @@ impl Fabric {
             shard: shard as u16,
             bytes: data.len() as u64,
         });
-        if let Some(fs) = &self.fault {
-            // Rendezvous is a zero-copy pointer handoff: duplicating or
-            // holding it back would alias or outlive the source buffer,
-            // so only Drop (of the RTS, with retries) and Delay apply;
-            // other decisions decay to clean delivery.
-            let seq = fs.next_seq(src_rank, dst, ctx, tag);
-            let mut attempt: u32 = 0;
-            loop {
-                match fs.plan.decide(src_rank, dst, ctx, tag, seq, attempt) {
-                    FaultAction::Drop => {
-                        let dropped_attempt = attempt;
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::FaultInjected {
-                                fault: FaultKind::Drop,
-                                dst: dst as u16,
-                                tag,
-                                arg: dropped_attempt as u64,
-                            });
-                        if attempt >= fs.plan.max_retries {
-                            // RTS lost for good: the sender's completion
-                            // stays unset; its wait unwinds via the abort.
-                            self.fail(PcommError::MessageLost {
-                                src: src_rank,
-                                dst,
-                                tag,
-                                attempts: attempt + 1,
-                            });
-                            return;
-                        }
-                        attempt += 1;
-                        let retry = attempt;
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::RetryAttempt {
-                                dst: dst as u16,
-                                attempt: retry as u16,
-                                tag,
-                            });
-                    }
-                    FaultAction::Delay { us } => {
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::FaultInjected {
-                                fault: FaultKind::Delay,
-                                dst: dst as u16,
-                                tag,
-                                arg: us,
-                            });
-                        std::thread::sleep(Duration::from_micros(us));
-                        break;
-                    }
-                    _ => break,
-                }
+        if self.fault.is_some() {
+            // Rendezvous is a zero-copy pointer handoff: the RTS passes
+            // the pinned-transfer gate. A lost RTS leaves the sender's
+            // completion unset; its wait unwinds via the abort.
+            if !self.fault_gate(src_rank, dst, ctx, tag) {
+                return;
             }
             // Preserve channel FIFO against any held-back eager message
             // of the same channel before the rendezvous overtakes it.
@@ -1111,12 +1180,10 @@ impl Fabric {
         id
     }
 
-    /// Ship one ready partition range on a wire stream, under the same
-    /// fault taxonomy as [`Fabric::send_rdv`]'s RTS: a range is pushed
-    /// exactly once into pinned remote memory, so Duplicate and Reorder
-    /// decay to clean delivery, Delay sleeps, and Drop consumes retries
-    /// — exhausting them loses the message for good (the span's `done`
-    /// stays unset; the sender's wait unwinds via the abort).
+    /// Ship one ready partition range on a wire stream, through
+    /// [`Fabric::fault_gate`]: a range is pushed exactly once into
+    /// pinned remote memory. A lost range leaves the span's `done`
+    /// unset; the sender's wait unwinds via the abort.
     #[allow(clippy::too_many_arguments)] // one per envelope field
     pub(crate) fn part_stream_send(
         &self,
@@ -1129,56 +1196,12 @@ impl Fabric {
         data: &[u8],
         parts: u16,
     ) {
-        if let Some(fs) = &self.fault {
-            let seq = fs.next_seq(src_rank, dst, ctx, tag);
-            let mut attempt: u32 = 0;
-            loop {
-                match fs.plan.decide(src_rank, dst, ctx, tag, seq, attempt) {
-                    FaultAction::Drop => {
-                        let dropped_attempt = attempt;
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::FaultInjected {
-                                fault: FaultKind::Drop,
-                                dst: dst as u16,
-                                tag,
-                                arg: dropped_attempt as u64,
-                            });
-                        if attempt >= fs.plan.max_retries {
-                            self.fail(PcommError::MessageLost {
-                                src: src_rank,
-                                dst,
-                                tag,
-                                attempts: attempt + 1,
-                            });
-                            return;
-                        }
-                        attempt += 1;
-                        let retry = attempt;
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::RetryAttempt {
-                                dst: dst as u16,
-                                attempt: retry as u16,
-                                tag,
-                            });
-                    }
-                    FaultAction::Delay { us } => {
-                        self.trace
-                            .emit(src_rank as u16, || EventKind::FaultInjected {
-                                fault: FaultKind::Delay,
-                                dst: dst as u16,
-                                tag,
-                                arg: us,
-                            });
-                        std::thread::sleep(Duration::from_micros(us));
-                        break;
-                    }
-                    _ => break,
-                }
-            }
-            // No held-eager flush here: partitioned pairs never put
-            // eager traffic on their context in streaming mode, so
-            // there is no channel-FIFO obligation to preserve.
+        if !self.fault_gate(src_rank, dst, ctx, tag) {
+            return;
         }
+        // No held-eager flush here: partitioned pairs never put eager
+        // traffic on their context in streaming mode, so there is no
+        // channel-FIFO obligation to preserve.
         self.transport
             .part_stream_push(self, stream_id, offset, data, parts);
         // The range stays pinned in the sender's buffer: the writer
@@ -1464,10 +1487,6 @@ impl Fabric {
     /// for every range of the message.
     pub(crate) fn complete_stream_msg(
         &self,
-        src: usize,
-        tag: i64,
-        len: usize,
-        info: &Mutex<Option<MsgInfo>>,
         completion: &Completion,
         verify_msg: Option<(u16, u16)>,
     ) {
@@ -1485,7 +1504,6 @@ impl Fabric {
                     }
                 });
         }
-        *info.lock() = Some(MsgInfo { src, tag, len });
         self.matched.fetch_add(1, Ordering::Relaxed);
         completion.set();
         self.touch();

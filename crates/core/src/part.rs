@@ -5,16 +5,19 @@
 //! N_recv)` base messages, aggregated under
 //! [`PartOptions::aggr_size`] — each guarded by an `AtomicI64` counter of
 //! outstanding partitions. `pready(p)` decrements its message's counter;
-//! the thread that brings it to zero injects the message *itself*, on a
-//! match shard chosen round-robin by message index — a physically real
-//! early-bird send. The legacy mode sends the whole buffer as a single
-//! message only in `wait`, after a per-iteration CTS round-trip, exactly
-//! the behaviour whose cost Fig. 4 exposes.
+//! the thread that brings it to zero injects the message *itself* — a
+//! physically real early-bird send. When both ranks live in this process
+//! the pair is matched once, at init, into a [`PartChannel`]; after that
+//! a message moves with one atomic per side and one `memcpy`, with no
+//! tag matching. A remote peer gets the message as a range of a
+//! partitioned wire stream. The legacy mode sends the whole buffer as a
+//! single message only in `wait`, after a per-iteration CTS round-trip,
+//! exactly the behaviour whose cost Fig. 4 exposes.
 
 use std::cell::UnsafeCell;
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pcomm_trace::{EventKind, FaultKind};
 
@@ -22,7 +25,7 @@ use crate::sync::Mutex;
 
 use crate::comm::Comm;
 use crate::error::{PcommError, RankAborted};
-use crate::fabric::{MsgInfo, PostedRecv};
+use crate::fabric::{Fabric, MsgInfo, PairKey, PostedRecv};
 use crate::sync::Completion;
 
 /// Tag of the legacy clear-to-send control message.
@@ -39,11 +42,6 @@ pub struct PartOptions {
     /// Use the legacy single-message path (CTS every iteration, no
     /// early-bird) instead of the improved multi-message path.
     pub legacy_single_message: bool,
-    /// MPIX_Stream-style hint: `hint[p]` is the thread owning partition
-    /// `p`; messages are injected on the owning thread's match shard
-    /// instead of round-robin by message index (the paper's future-work
-    /// fix for the inflexible θ > 1 attribution, §5).
-    pub thread_hint: Option<Arc<Vec<usize>>>,
     /// Ablation: defer all sends to `wait()` (disables early-bird).
     pub defer_sends: bool,
 }
@@ -331,6 +329,192 @@ impl PartStorage {
     }
 }
 
+/// One side of an in-process partitioned pair, as published to its
+/// [`PartChannel`] at init.
+pub(crate) struct ChannelHalf {
+    /// The side's buffer; the channel's reference keeps it alive for any
+    /// copy, whichever side makes it.
+    storage: Arc<PartStorage>,
+    /// `(byte offset, length)` of every internal message in the buffer.
+    spans: Vec<(usize, usize)>,
+    /// Per-message completions: `sent` on the sender, `arrived` on the
+    /// receiver.
+    done: Vec<Arc<Completion>>,
+}
+
+impl ChannelHalf {
+    fn new(
+        storage: &Arc<PartStorage>,
+        spans: Vec<(usize, usize)>,
+        done: &[Arc<Completion>],
+    ) -> Self {
+        ChannelHalf {
+            storage: Arc::clone(storage),
+            spans,
+            done: done.to_vec(),
+        }
+    }
+}
+
+/// An in-process partitioned pair, matched once at init (DESIGN.md §8).
+///
+/// Each message `m` has one arrival counter. Per iteration, the sender
+/// adds 1 when `pready` completes `m`, the receiver adds 1 in `start`
+/// after re-arming `arrived[m]`. The side that sees an odd previous
+/// value arrived second: it copies the sender's range straight into the
+/// receiver's buffer and fires both completions. Neither side can begin
+/// iteration k+1 before `m`'s completions of iteration k fire, so the
+/// counter goes 2k → 2k+2 before any arrival of k+1: parity alone tells
+/// the sides apart, with no epoch tag, lock or intermediate buffer.
+pub(crate) struct PartChannel {
+    arrivals: Box<[AtomicU64]>,
+    send: OnceLock<ChannelHalf>,
+    recv: OnceLock<ChannelHalf>,
+}
+
+impl PartChannel {
+    /// A channel holding the half that initialised first.
+    pub(crate) fn new(sender: bool, half: ChannelHalf) -> PartChannel {
+        let arrivals = (0..half.spans.len()).map(|_| AtomicU64::new(0)).collect();
+        let (send, recv) = if sender {
+            (OnceLock::from(half), OnceLock::new())
+        } else {
+            (OnceLock::new(), OnceLock::from(half))
+        };
+        PartChannel {
+            arrivals,
+            send,
+            recv,
+        }
+    }
+
+    fn side(&self, sender: bool) -> &OnceLock<ChannelHalf> {
+        if sender {
+            &self.send
+        } else {
+            &self.recv
+        }
+    }
+
+    /// Whether the `sender` side has not joined yet.
+    pub(crate) fn awaits(&self, sender: bool) -> bool {
+        self.side(sender).get().is_none()
+    }
+
+    /// Install the second half. Its message layout must equal the
+    /// first's, else the pair is [`PcommError::Misuse`] of `rank`.
+    pub(crate) fn join(
+        &self,
+        rank: usize,
+        sender: bool,
+        half: ChannelHalf,
+    ) -> Result<(), PcommError> {
+        let peer = self
+            .side(!sender)
+            .get()
+            .expect("a parked channel holds its first half");
+        if peer.spans != half.spans {
+            let (send, recv) = if sender {
+                (&half.spans, &peer.spans)
+            } else {
+                (&peer.spans, &half.spans)
+            };
+            return Err(PcommError::misuse(
+                rank,
+                format!(
+                    "partitioned send and receive disagree on the message layout: \
+                     sender has {} messages {send:?}, receiver has {} {recv:?} \
+                     (offset, bytes); check partition counts and aggr_size",
+                    send.len(),
+                    recv.len()
+                ),
+            ));
+        }
+        self.side(sender)
+            .set(half)
+            .unwrap_or_else(|_| unreachable!("a side joins once"));
+        Ok(())
+    }
+
+    /// Count one side's arrival at message `m` for this iteration; the
+    /// second side to arrive makes the transfer. `recv_rank` and `vreq`
+    /// identify the receiving request for the verify event.
+    fn arrive(&self, m: usize, by_sender: bool, fabric: &Fabric, recv_rank: usize, vreq: u16) {
+        // AcqRel: the first arrival releases its side's state — the
+        // sender's partition writes (gathered through the ready
+        // counters), or the receiver's re-armed `arrived[m]` and its
+        // reads of the previous iteration — and the second acquires it.
+        let before = self.arrivals[m].fetch_add(1, Ordering::AcqRel);
+        if before & 1 == 0 {
+            return; // first to arrive: the peer makes the transfer
+        }
+        if fabric.aborted() {
+            // As in `deliver`: no new transfer once the universe unwinds;
+            // the waiters unwind via the abort.
+            return;
+        }
+        let send = self.send.get().expect("second arrival: sender joined");
+        let recv = self.recv.get().expect("second arrival: receiver joined");
+        // The two sides' spans are equal (checked at `join`).
+        let (off, len) = send.spans[m];
+        // SAFETY: both halves are alive (held by `Arc`) and the span is
+        // in bounds of both buffers. Every sender partition of `m` is READY and stays
+        // so until the sender's next `start`, which waits for `sent[m]`;
+        // the receiver touches its range of `m` only after `arrived[m]`
+        // fires. Both fire below, after the copy.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                send.storage.base().add(off),
+                recv.storage.base().add(off),
+                len,
+            );
+        }
+        // Before the completions, as in every receive path, so the
+        // analyzer orders the buffer write before the edges it enables.
+        // `eager`: the sender copied at injection; otherwise the receiver
+        // read the pinned sender buffer, like a rendezvous.
+        fabric
+            .trace()
+            .emit_verify(recv_rank as u16, || EventKind::VerifyMsgRecv {
+                req: vreq,
+                msg: m as u16,
+                tid: pcomm_trace::current_tid(),
+                eager: by_sender,
+            });
+        recv.done[m].set();
+        send.done[m].set();
+        fabric.touch();
+    }
+}
+
+/// `(byte offset, length)` of every message of `layout` in a buffer of
+/// `part_bytes`-sized partitions, on the sending or the receiving side.
+fn message_spans(layout: &MsgLayout, part_bytes: usize, sender: bool) -> Vec<(usize, usize)> {
+    layout
+        .msgs
+        .iter()
+        .map(|spec| {
+            let first = if sender {
+                spec.first_spart
+            } else {
+                spec.first_rpart
+            };
+            (first * part_bytes, spec.bytes)
+        })
+        .collect()
+}
+
+/// Pair an improved-path request with its in-process peer (see
+/// [`Fabric::pair_part_channel`]); a layout mismatch aborts the universe.
+fn pair_local(comm: &Comm, key: PairKey, sender: bool, half: ChannelHalf) -> Arc<PartChannel> {
+    comm.fabric()
+        .pair_part_channel(key, comm.rank(), sender, half)
+        .unwrap_or_else(|err| {
+            comm.fabric().fail(err);
+            panic_any(RankAborted)
+        })
+}
+
 struct PsendShared {
     comm: Comm,
     /// Interned verify request id (see [`Trace::verify_req_id`]); 0 when
@@ -341,22 +525,24 @@ struct PsendShared {
     part_bytes: usize,
     layout: MsgLayout,
     legacy: bool,
-    thread_hint: Option<Arc<Vec<usize>>>,
     defer_sends: bool,
+    /// Improved path, destination in this process: the channel matched
+    /// with the receiver at init. Issued messages arrive on it.
+    channel: Option<Arc<PartChannel>>,
     /// Wire streaming: the destination rank lives in another process and
     /// the request is on the improved path, so issued messages travel as
-    /// `PartData` ranges on a per-iteration partitioned stream instead
-    /// of per-message eager/rendezvous envelopes.
+    /// `PartData` ranges on a per-iteration partitioned stream.
     stream: bool,
     /// The current iteration's stream id (valid while `started`).
     stream_id: AtomicU64,
-    storage: PartStorage,
+    storage: Arc<PartStorage>,
     counters: Vec<AtomicI64>,
     /// Persistent per-message send signals: `sent[m]` is set once message
     /// `m` is injected *and* its bytes are safely out of the partition
-    /// buffer (eagerly at injection; for rendezvous, when the receiver's
-    /// copy lands; for wire streaming, when the writer threads finish
-    /// putting the message's span on the wire). Reset — never
+    /// buffer (in process, when the channel copy lands; legacy, at
+    /// injection if eager, else when the receiver's copy lands; for wire
+    /// streaming, when the writer threads finish putting the message's
+    /// span on the wire). Reset — never
     /// reallocated — by each `start()`, so the `pready`→`issue` hot path
     /// touches no lock and allocates nothing.
     sent: Vec<Arc<Completion>>,
@@ -378,9 +564,17 @@ struct PsendShared {
 
 impl Drop for PsendShared {
     fn drop(&mut self) {
+        if let Some(ch) = &self.channel {
+            // The channel holds the buffer by `Arc`: nothing to drain.
+            // Unpaired, it leaves the registry with this half.
+            let key = (self.comm.ctx(), self.comm.rank(), self.dst);
+            self.comm.fabric().withdraw_part_channel(key, ch);
+            return;
+        }
         // Dropped mid-iteration (a rank unwinding on abort or a panic):
-        // any issued rendezvous message pins a pointer into `storage` —
-        // drain those signals (abort-aware) before the buffer is freed.
+        // any issued rendezvous or stream message pins a pointer into
+        // `storage` — drain those signals (abort-aware) before the
+        // buffer is freed.
         if self.started.load(Ordering::Acquire) {
             for (m, sent) in self.sent.iter().enumerate() {
                 if self.issued[m].load(Ordering::Acquire) {
@@ -491,13 +685,6 @@ impl Comm {
             0,
             "total size must divide into receiver partitions"
         );
-        if let Some(hint) = &opts.thread_hint {
-            assert_eq!(
-                hint.len(),
-                n_parts,
-                "thread hint must cover every partition"
-            );
-        }
         let layout = negotiate_layout(n_parts, n_recv_parts, part_bytes, opts.aggr_size);
         let part_comm = Comm::part_comm(self, tag);
         let n_msgs = layout.n_msgs();
@@ -524,6 +711,20 @@ impl Comm {
             &layout,
             n_parts * part_bytes,
         );
+        let improved = !opts.legacy_single_message;
+        let local = self.fabric().is_local(dst);
+        let storage = Arc::new(PartStorage::new(n_parts, part_bytes));
+        let sent: Vec<_> = (0..n_msgs).map(|_| Completion::new()).collect();
+        let channel = (improved && local).then(|| {
+            let spans = message_spans(&layout, part_bytes, true);
+            let key = (part_comm.ctx(), self.rank(), dst);
+            pair_local(
+                &part_comm,
+                key,
+                true,
+                ChannelHalf::new(&storage, spans, &sent),
+            )
+        });
         PsendRequest {
             inner: Arc::new(PsendShared {
                 comm: part_comm,
@@ -533,13 +734,13 @@ impl Comm {
                 part_bytes,
                 layout,
                 legacy: opts.legacy_single_message,
-                thread_hint: opts.thread_hint.clone(),
                 defer_sends: opts.defer_sends,
-                stream: !opts.legacy_single_message && !self.fabric().is_local(dst),
+                channel,
+                stream: improved && !local,
                 stream_id: AtomicU64::new(0),
-                storage: PartStorage::new(n_parts, part_bytes),
+                storage,
                 counters: (0..n_msgs).map(|_| AtomicI64::new(0)).collect(),
-                sent: (0..n_msgs).map(|_| Completion::new()).collect(),
+                sent,
                 issued: (0..n_msgs).map(|_| AtomicBool::new(false)).collect(),
                 started: AtomicBool::new(false),
                 iters: AtomicU64::new(0),
@@ -608,12 +809,13 @@ impl Comm {
             &layout,
             n_parts * part_bytes,
         );
-        let stream = !opts.legacy_single_message && !self.fabric().is_local(src);
+        let improved = !opts.legacy_single_message;
+        let stream = improved && !self.fabric().is_local(src);
         // On the ipc fabric, pin the destination inside the shared
         // partition arena when it fits: the sender then commits every
         // `pready` range directly into this buffer (true zero-copy).
         // Heap storage is the fallback everywhere else.
-        let storage = if stream {
+        let storage = Arc::new(if stream {
             match self.fabric().alloc_part_dest(src, n_parts * part_bytes) {
                 Some((token, ptr)) => {
                     PartStorage::new_in_segment(ptr, token, src, n_parts, part_bytes)
@@ -622,7 +824,18 @@ impl Comm {
             }
         } else {
             PartStorage::new(n_parts, part_bytes)
-        };
+        });
+        let arrived: Vec<_> = (0..n_msgs).map(|_| Completion::new_set()).collect();
+        let channel = (improved && !stream).then(|| {
+            let spans = message_spans(&layout, part_bytes, false);
+            let key = (part_comm.ctx(), src, self.rank());
+            pair_local(
+                &part_comm,
+                key,
+                false,
+                ChannelHalf::new(&storage, spans, &arrived),
+            )
+        });
         PrecvRequest {
             inner: Arc::new(PrecvShared {
                 comm: part_comm,
@@ -632,11 +845,10 @@ impl Comm {
                 part_bytes,
                 layout,
                 legacy: opts.legacy_single_message,
-                stream,
-                thread_hint: opts.thread_hint.clone(),
+                channel,
                 storage,
-                arrived: (0..n_msgs).map(|_| Completion::new_set()).collect(),
-                infos: (0..n_msgs).map(|_| Arc::new(Mutex::new(None))).collect(),
+                arrived,
+                legacy_info: Arc::new(Mutex::new(None)),
                 started: AtomicBool::new(false),
                 iters: AtomicU64::new(0),
             }),
@@ -968,21 +1180,9 @@ impl PsendRequest {
     fn issue(&self, m: usize, pready_ns: Option<u64>) {
         let s = &self.inner;
         let spec = s.layout.msgs[m];
-        let byte_off = spec.first_spart * s.part_bytes;
-        let shard = match &s.thread_hint {
-            // Round-robin message→shard attribution (paper §3.2.2).
-            None => m % s.comm.n_shards(),
-            // Stream hint: the owning thread's shard.
-            Some(hint) => hint[spec.first_spart] % s.comm.n_shards(),
-        };
-        // SAFETY: every partition of message m is READY (its counter hit
-        // zero) and stays READY until wait() resets the iteration; the
-        // rendezvous pin is released only by `sent[m]`, which the next
-        // start() observes before resetting the storage.
-        let data = unsafe { s.storage.ready_slice(byte_off, spec.bytes) };
+        let fabric = s.comm.fabric();
         // The transfer's read of the send partitions, for the analyzer.
-        s.comm
-            .fabric()
+        fabric
             .trace()
             .emit_verify(s.comm.rank() as u16, || EventKind::VerifyMsgSend {
                 req: s.vreq,
@@ -990,15 +1190,29 @@ impl PsendRequest {
                 iter: self.cur_iter(),
                 tid: pcomm_trace::current_tid(),
             });
-        // Marked before the fabric sees the pointer: teardown must drain
-        // `sent[m]` whenever the fabric might hold a reference.
-        s.issued[m].store(true, Ordering::Release);
-        if s.stream {
+        if let Some(ch) = &s.channel {
+            // Matched at init: arrive on the channel. If the receiver
+            // already started this iteration, this thread copies the
+            // message into its buffer now; else its `start` will.
+            if fabric.fault_gate(s.comm.rank(), s.dst, s.comm.ctx(), m as i64) {
+                ch.arrive(m, true, fabric, s.dst, s.vreq);
+            }
+        } else {
+            let byte_off = spec.first_spart * s.part_bytes;
+            // SAFETY: every partition of message m is READY (its counter
+            // hit zero) and stays READY until wait() resets the
+            // iteration; the stream pin is released only by `sent[m]`,
+            // which the next start() observes before resetting the
+            // storage.
+            let data = unsafe { s.storage.ready_slice(byte_off, spec.bytes) };
+            // Marked before the fabric sees the pointer: teardown must
+            // drain `sent[m]` whenever the fabric might hold a reference.
+            s.issued[m].store(true, Ordering::Release);
             // Wire streaming: the range is pinned into the stream's
             // aggregation window — no copy, no per-message envelope, no
             // CTS wait on this path. The writer thread flips `sent[m]`
             // once the message's whole span is on the wire.
-            s.comm.fabric().part_stream_send(
+            fabric.part_stream_send(
                 s.dst,
                 s.comm.rank(),
                 s.comm.ctx(),
@@ -1008,23 +1222,13 @@ impl PsendRequest {
                 data,
                 spec.n_sparts as u16,
             );
-        } else {
-            s.comm.fabric().send_raw_signal(
-                s.dst,
-                shard,
-                s.comm.ctx(),
-                s.comm.rank(),
-                m as i64,
-                data,
-                &s.sent[m],
-            );
         }
         if let Some(t0) = pready_ns {
-            let trace = s.comm.fabric().trace();
+            let trace = fabric.trace();
             let gap_ns = trace.now_ns().map_or(0, |now| now.saturating_sub(t0));
             trace.emit(s.comm.rank() as u16, || EventKind::EarlyBird {
                 msg: m as u16,
-                shard: shard as u16,
+                shard: s.comm.shard() as u16,
                 bytes: spec.bytes as u64,
                 gap_ns,
             });
@@ -1097,9 +1301,9 @@ impl PsendRequest {
                     self.issue(m, None);
                 }
             }
-            // `sent[m]` covers both "issued" and "buffer reusable":
-            // eager and stream sends set it at injection, rendezvous on
-            // remote copy.
+            // `sent[m]` covers both "issued" and "buffer reusable": it
+            // fires when the channel copy lands, or when the stream
+            // span is on the wire.
             for (m, sent) in s.sent.iter().enumerate() {
                 s.comm.fabric().wait_on(sent, s.comm.rank(), || {
                     (
@@ -1136,20 +1340,18 @@ struct PrecvShared {
     part_bytes: usize,
     layout: MsgLayout,
     legacy: bool,
-    /// Wire streaming: remote peer on the improved path. `start()` then
-    /// hands the whole pinned buffer to the transport instead of posting
-    /// per-message receives.
-    stream: bool,
-    thread_hint: Option<Arc<Vec<usize>>>,
-    storage: PartStorage,
+    /// Improved path, source in this process: the channel matched with
+    /// the sender at init. `start()` arrives on it for every message.
+    channel: Option<Arc<PartChannel>>,
+    storage: Arc<PartStorage>,
     /// Persistent per-message arrival signals: created pre-set so probing
     /// an *inactive* request reports completion (MPI's convention for
     /// inactive persistent requests), reset by `start()` and set by the
     /// fabric when message `m` lands. `parrived` is thus a table lookup
     /// plus a single atomic load — no lock, ever.
     arrived: Vec<Arc<Completion>>,
-    /// Persistent envelope slots handed to the fabric with each post.
-    infos: Vec<Arc<Mutex<Option<MsgInfo>>>>,
+    /// Legacy: the envelope slot the data receive is posted with.
+    legacy_info: Arc<Mutex<Option<MsgInfo>>>,
     started: AtomicBool,
     /// Iterations started so far (verify provenance, as on the send side).
     iters: AtomicU64,
@@ -1157,6 +1359,12 @@ struct PrecvShared {
 
 impl Drop for PrecvShared {
     fn drop(&mut self) {
+        if let Some(ch) = &self.channel {
+            // As on the send side: the channel holds the buffer.
+            let key = (self.comm.ctx(), self.src, self.comm.rank());
+            self.comm.fabric().withdraw_part_channel(key, ch);
+            return;
+        }
         // Dropped mid-iteration: every posted receive holds a raw
         // pointer into `storage` — drain the arrival signals
         // (abort-aware) before the buffer is freed. Signals the
@@ -1197,8 +1405,10 @@ impl PrecvRequest {
         self.inner.iters.load(Ordering::Relaxed).saturating_sub(1) as u32
     }
 
-    /// `MPI_Start`: post the internal receives (improved) or send the CTS
-    /// and post the single data receive (legacy).
+    /// `MPI_Start`: arrive on the channel for every message (improved,
+    /// in process), pin the buffer for the wire stream (improved,
+    /// remote), or send the CTS and post the single data receive
+    /// (legacy).
     pub fn start(&self) {
         let s = &self.inner;
         assert!(
@@ -1220,7 +1430,6 @@ impl PrecvRequest {
             // post sets `arrived[0]` immediately when the data message is
             // already parked in the unexpected queue.
             s.arrived[0].reset();
-            *s.infos[0].lock() = None;
             s.comm.fabric().send_raw(
                 s.src,
                 s.comm.shard(),
@@ -1241,27 +1450,31 @@ impl PrecvRequest {
                     tag: Some(TAG_DATA),
                     dest_ptr: buf.as_mut_ptr(),
                     dest_cap: buf.len(),
-                    info: Arc::clone(&s.infos[0]),
+                    info: Arc::clone(&s.legacy_info),
                     completion: Arc::clone(&s.arrived[0]),
                     verify_msg: Some((s.vreq, 0)),
                 },
             );
-        } else if s.stream {
+        } else if let Some(ch) = &s.channel {
+            // Re-arm before arriving: a sender that already issued `m`
+            // leaves the copy, and the completion, to this thread.
+            for (m, arrived) in s.arrived.iter().enumerate() {
+                arrived.reset();
+                ch.arrive(m, false, s.comm.fabric(), s.comm.rank(), s.vreq);
+            }
+        } else {
             // Streaming path: hand the whole pinned buffer to the
             // transport once; PartData ranges commit straight into it and
             // flip each message's `arrived` as its bytes land.
             let mut msgs = Vec::with_capacity(s.layout.msgs.len());
             for (m, spec) in s.layout.msgs.iter().enumerate() {
                 s.arrived[m].reset();
-                *s.infos[m].lock() = None;
                 msgs.push(crate::transport::PartStreamMsg {
                     offset: spec.first_rpart * s.part_bytes,
                     len: spec.bytes,
                     remaining: AtomicUsize::new(spec.bytes),
                     completion: Arc::clone(&s.arrived[m]),
-                    info: Arc::clone(&s.infos[m]),
                     verify_msg: Some((s.vreq, m as u16)),
-                    tag: m as i64,
                 });
             }
             let total = s.n_parts * s.part_bytes;
@@ -1276,32 +1489,6 @@ impl PrecvRequest {
                     msgs,
                 },
             );
-        } else {
-            for (m, spec) in s.layout.msgs.iter().enumerate() {
-                let byte_off = spec.first_rpart * s.part_bytes;
-                let shard = match &s.thread_hint {
-                    None => m % s.comm.n_shards(),
-                    Some(hint) => hint[spec.first_spart] % s.comm.n_shards(),
-                };
-                s.arrived[m].reset();
-                *s.infos[m].lock() = None;
-                // SAFETY: disjoint ranges, fabric-exclusive until wait().
-                let buf = unsafe { s.storage.raw_range(byte_off, spec.bytes) };
-                s.comm.fabric().post_recv(
-                    s.comm.rank(),
-                    shard,
-                    PostedRecv {
-                        ctx: s.comm.ctx(),
-                        src: Some(s.src),
-                        tag: Some(m as i64),
-                        dest_ptr: buf.as_mut_ptr(),
-                        dest_cap: buf.len(),
-                        info: Arc::clone(&s.infos[m]),
-                        completion: Arc::clone(&s.arrived[m]),
-                        verify_msg: Some((s.vreq, m as u16)),
-                    },
-                );
-            }
         }
     }
 
@@ -1944,49 +2131,6 @@ mod tests {
                             let g = r * 150 + i;
                             assert_eq!(x as usize, g / 100, "recv part {r} byte {i}");
                         }
-                    }
-                }
-            })
-            .unwrap();
-    }
-
-    #[test]
-    fn thread_hint_roundtrip_with_block_assignment() {
-        // Block partition→thread ownership (the θ>1 layout §3.2.2 warns
-        // about): the stream hint keeps each thread on its own shard.
-        let n_threads = 2;
-        let theta = 4;
-        let n = n_threads * theta;
-        let hint: Arc<Vec<usize>> = Arc::new((0..n).map(|p| p / theta).collect());
-        Universe::new(2)
-            .with_shards(2)
-            .run(|comm| {
-                let opts = PartOptions {
-                    thread_hint: Some(Arc::clone(&hint)),
-                    ..PartOptions::default()
-                };
-                if comm.rank() == 0 {
-                    let ps = comm.psend_init(1, 0, n, 128, opts);
-                    ps.start();
-                    std::thread::scope(|s| {
-                        for t in 0..n_threads {
-                            let ps = ps.clone();
-                            s.spawn(move || {
-                                for j in 0..theta {
-                                    let p = t * theta + j; // block ownership
-                                    ps.write_partition(p, |b| b.fill(p as u8 + 1));
-                                    ps.pready(p);
-                                }
-                            });
-                        }
-                    });
-                    ps.wait();
-                } else {
-                    let pr = comm.precv_init(0, 0, n, 128, opts);
-                    pr.start();
-                    pr.wait();
-                    for p in 0..n {
-                        assert!(pr.partition(p).iter().all(|&x| x == p as u8 + 1));
                     }
                 }
             })

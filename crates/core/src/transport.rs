@@ -75,7 +75,7 @@ use pcomm_net::{Endpoint, Mesh, MeshConfig, WireFault, WireFaults};
 use pcomm_trace::{EventKind, FaultKind, FaultPlan};
 
 use crate::error::{PcommError, PeerSocketState};
-use crate::fabric::{Fabric, MsgInfo, PostedRecv, WAIT_SLICE};
+use crate::fabric::{Fabric, PostedRecv, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
 
 /// Slice for non-unwinding waits in teardown paths (mirrors the
@@ -250,12 +250,8 @@ pub(crate) struct PartStreamMsg {
     pub(crate) remaining: AtomicUsize,
     /// The `parrived`/wait completion for the message.
     pub(crate) completion: Arc<Completion>,
-    /// Envelope slot the fabric fills on completion.
-    pub(crate) info: Arc<Mutex<Option<MsgInfo>>>,
     /// Verify-layer identity `(request, message)` for the recv event.
     pub(crate) verify_msg: Option<(u16, u16)>,
-    /// Message tag (the message index, as in the eager/rdv path).
-    pub(crate) tag: i64,
 }
 
 /// A whole partitioned destination buffer pinned for an incoming
@@ -1428,14 +1424,7 @@ impl SocketTransport {
                 // once, so this never underflows.
                 let before = msg.remaining.fetch_sub(overlap, Ordering::AcqRel);
                 if before == overlap {
-                    fabric.complete_stream_msg(
-                        src,
-                        msg.tag,
-                        msg.len,
-                        &msg.info,
-                        &msg.completion,
-                        msg.verify_msg,
-                    );
+                    fabric.complete_stream_msg(&msg.completion, msg.verify_msg);
                     msgs_done += 1;
                 }
             }

@@ -1204,14 +1204,7 @@ impl IpcTransport {
                 // once, so this never underflows.
                 let before = msg.remaining.fetch_sub(overlap, Ordering::AcqRel);
                 if before == overlap {
-                    fabric.complete_stream_msg(
-                        src,
-                        msg.tag,
-                        msg.len,
-                        &msg.info,
-                        &msg.completion,
-                        msg.verify_msg,
-                    );
+                    fabric.complete_stream_msg(&msg.completion, msg.verify_msg);
                     msgs_done += 1;
                 }
             }

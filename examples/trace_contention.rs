@@ -4,6 +4,10 @@
 //! writes Chrome trace-event JSON you can load in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
+//! The lock waits all come from the eager floods. The partitioned
+//! sender takes no shard lock: its pair was matched once at init, so
+//! its early-bird sends copy straight into rank 0's buffer.
+//!
 //! ```text
 //! cargo run --release --example trace_contention
 //! ```
@@ -21,8 +25,8 @@ const MSGS: usize = 200;
 const BYTES: usize = 1024;
 const N_PARTS: usize = 8;
 
-/// Everyone hammers rank 0: eager floods from ranks 2.., a partitioned
-/// stream (early-bird sends) from rank 1.
+/// Everyone hammers rank 0: eager floods from ranks 2.., partitioned
+/// early-bird sends from rank 1.
 fn workload(comm: &Comm) {
     match comm.rank() {
         0 => {
