@@ -142,6 +142,24 @@ ipc_smoke() {
 }
 ipc_smoke pingpong
 ipc_smoke halo_exchange
+# early_bird's real-runtime section is a delayed pipeline: the receiver
+# claims early partitions while the sender computes, the sender's wait
+# claims the rest — both cooperative-copy paths (DESIGN.md §15).
+ipc_smoke early_bird
+# One chaos cell on the ipc fabric: every published range passes the
+# fault gate once, so drops/delays on halo_exchange's partitioned pair
+# must recover (exit 0) or fail typed (exit 2), never hang or panic.
+echo "-- halo_exchange under pcomm-launch -n 2 (ipc), seeded faults"
+status=0
+PCOMM_NET_FABRIC=ipc PCOMM_FAULTS="seed=42,drop=0.05,delay=0.05:200,retries=3" \
+    PCOMM_WATCHDOG_MS=5000 timeout 120 ./target/release/pcomm-launch -n 2 -- \
+    ./target/release/examples/halo_exchange >/dev/null 2>&1 || status=$?
+case "$status" in
+    0) echo "   recovered (exit 0)" ;;
+    2) echo "   clean typed error (exit 2)" ;;
+    124) echo "   HANG on the ipc fabric: watchdog failed to fire" >&2; exit 1 ;;
+    *) echo "   unclean exit $status (panic/abort?)" >&2; exit 1 ;;
+esac
 # One audited cell: a verified ipc run persists per-rank .events rings
 # like any other fabric (one lane, epoch pinned to 0) and the merged
 # cross-process audit must come back clean.

@@ -1166,18 +1166,23 @@ impl Fabric {
 
     /// Open a partitioned wire stream toward `dst` (see the transport's
     /// streaming protocol); returns the stream id that pushes name.
-    /// `spans` carries the per-message sender completions: the writer
-    /// threads flip each one once its byte range is on the wire.
+    /// `send.spans` carries the per-message sender completions: each
+    /// flips once its byte range is out of the source buffer.
     pub(crate) fn part_stream_begin(
         &self,
         dst: usize,
         ctx: u64,
-        total_len: usize,
-        spans: Vec<crate::transport::SendSpan>,
+        send: crate::transport::PartStreamSend,
     ) -> u64 {
-        let id = self.transport.part_stream_begin(dst, ctx, total_len, spans);
+        let id = self.transport.part_stream_begin(dst, ctx, send);
         self.touch();
         id
+    }
+
+    /// The sender's `wait` on a wire stream: copy every published
+    /// message the receiver has not claimed (ipc cooperative copy).
+    pub(crate) fn part_stream_help(&self, rank: usize, stream_id: u64) {
+        self.transport.part_stream_help(self, rank, stream_id);
     }
 
     /// Ship one ready partition range on a wire stream, through
@@ -1233,6 +1238,24 @@ impl Fabric {
     /// Return a grant from [`Fabric::alloc_part_dest`].
     pub(crate) fn release_part_dest(&self, src: usize, token: u64, len: usize) {
         self.transport.release_part_dest(src, token, len);
+    }
+
+    /// Try to place a partitioned source buffer where the receiver can
+    /// copy from it (the ipc arena); `None` elsewhere — callers fall
+    /// back to owned storage.
+    pub(crate) fn alloc_part_src(
+        &self,
+        dst: usize,
+        n_msgs: usize,
+        len: usize,
+    ) -> Option<(u64, *mut u8)> {
+        self.transport.alloc_part_src(dst, n_msgs, len)
+    }
+
+    /// Return a grant from [`Fabric::alloc_part_src`].
+    pub(crate) fn release_part_src(&self, dst: usize, token: u64, n_msgs: usize, len: usize) {
+        self.transport
+            .release_part_src(self, dst, token, n_msgs, len);
     }
 
     fn deliver(

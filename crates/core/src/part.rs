@@ -167,23 +167,23 @@ const PART_WRITABLE: u8 = 0;
 const PART_WRITING: u8 = 1;
 const PART_READY: u8 = 2;
 
-/// Shared-arena backing for a receive-side partition buffer: the
-/// transport granted `len` bytes at `ptr` (grant `token`) inside the
-/// ipc segment's partition arena for the pair with `src`, so the
-/// sender's `pready` commits bytes straight into this buffer — no copy
-/// on either side. Released back to the transport when the request
-/// drops.
+/// Shared-arena backing for a partition buffer: the transport granted
+/// `len` bytes at `ptr` (grant `token`) inside the ipc segment's
+/// partition arena for the pair with `peer`. A receive buffer there
+/// lets the sender copy straight into it; a send buffer there lets the
+/// receiver copy straight out of it. Released back to the transport
+/// when the request drops.
 struct SegBacking {
     ptr: *mut u8,
     len: usize,
     token: u64,
-    src: usize,
+    peer: usize,
 }
 
 /// The partitioned buffer: contiguous storage with per-partition access
 /// states that make the raw-pointer sharing sound. Backed by owned heap
-/// memory, or — receive side on the ipc fabric — by a granted range of
-/// the shared partition arena.
+/// memory, or — on the ipc fabric — by a granted range of the shared
+/// partition arena.
 struct PartStorage {
     /// Owned storage; empty (and unused) when `seg` backs the buffer.
     data: UnsafeCell<Box<[u8]>>,
@@ -214,7 +214,7 @@ impl PartStorage {
     fn new_in_segment(
         ptr: *mut u8,
         token: u64,
-        src: usize,
+        peer: usize,
         n_parts: usize,
         part_bytes: usize,
     ) -> PartStorage {
@@ -230,7 +230,7 @@ impl PartStorage {
                 ptr,
                 len,
                 token,
-                src,
+                peer,
             }),
             states: (0..n_parts).map(|_| AtomicU8::new(PART_WRITABLE)).collect(),
             part_bytes,
@@ -238,9 +238,9 @@ impl PartStorage {
     }
 
     /// The arena grant to return on drop, if segment-backed:
-    /// `(src, token, len)`.
+    /// `(peer, token, len)`.
     fn seg_grant(&self) -> Option<(usize, u64, usize)> {
-        self.seg.as_ref().map(|s| (s.src, s.token, s.len))
+        self.seg.as_ref().map(|s| (s.peer, s.token, s.len))
     }
 
     /// Base of the buffer, wherever it lives.
@@ -536,6 +536,8 @@ struct PsendShared {
     /// The current iteration's stream id (valid while `started`).
     stream_id: AtomicU64,
     storage: Arc<PartStorage>,
+    /// Messages this side copied into the receiver's buffer (ipc).
+    copies: Arc<AtomicU64>,
     counters: Vec<AtomicI64>,
     /// Persistent per-message send signals: `sent[m]` is set once message
     /// `m` is injected *and* its bytes are safely out of the partition
@@ -581,6 +583,12 @@ impl Drop for PsendShared {
                     self.comm.fabric().drain_completion(sent);
                 }
             }
+        }
+        // Hand a shared-arena source back (no-op for heap storage); the
+        // transport keeps it if a copy out of it may still be running.
+        if let Some((dst, token, len)) = self.storage.seg_grant() {
+            let n_msgs = self.layout.n_msgs();
+            self.comm.fabric().release_part_src(dst, token, n_msgs, len);
         }
     }
 }
@@ -713,7 +721,19 @@ impl Comm {
         );
         let improved = !opts.legacy_single_message;
         let local = self.fabric().is_local(dst);
-        let storage = Arc::new(PartStorage::new(n_parts, part_bytes));
+        // On the ipc fabric, place the source in the shared arena when it
+        // fits: `pready` then only publishes each message, and whichever
+        // rank is idle copies it (DESIGN.md §15). Heap storage elsewhere.
+        let seg = (improved && !local)
+            .then(|| {
+                self.fabric()
+                    .alloc_part_src(dst, n_msgs, n_parts * part_bytes)
+            })
+            .flatten();
+        let storage = Arc::new(match seg {
+            Some((token, ptr)) => PartStorage::new_in_segment(ptr, token, dst, n_parts, part_bytes),
+            None => PartStorage::new(n_parts, part_bytes),
+        });
         let sent: Vec<_> = (0..n_msgs).map(|_| Completion::new()).collect();
         let channel = (improved && local).then(|| {
             let spans = message_spans(&layout, part_bytes, true);
@@ -739,6 +759,7 @@ impl Comm {
                 stream: improved && !local,
                 stream_id: AtomicU64::new(0),
                 storage,
+                copies: Arc::new(AtomicU64::new(0)),
                 counters: (0..n_msgs).map(|_| AtomicI64::new(0)).collect(),
                 sent,
                 issued: (0..n_msgs).map(|_| AtomicBool::new(false)).collect(),
@@ -847,6 +868,7 @@ impl Comm {
                 legacy: opts.legacy_single_message,
                 channel,
                 storage,
+                copies: Arc::new(AtomicU64::new(0)),
                 arrived,
                 legacy_info: Arc::new(Mutex::new(None)),
                 started: AtomicBool::new(false),
@@ -875,6 +897,16 @@ impl PsendRequest {
     /// The negotiated layout.
     pub fn layout(&self) -> &MsgLayout {
         &self.inner.layout
+    }
+
+    /// Messages whose bytes this side copied into the receiver's
+    /// buffer, summed over all iterations. Counted on the ipc fabric,
+    /// where each message is copied exactly once by one of the two
+    /// sides, so the sender's and the receiver's counts add up to
+    /// `n_msgs` per iteration; 0 on every other path.
+    pub fn copies(&self) -> u64 {
+        // ORDERING: statistic; the iteration's completions order it.
+        self.inner.copies.load(Ordering::Relaxed)
     }
 
     /// Current iteration index for verify provenance (0 before the
@@ -952,8 +984,12 @@ impl PsendRequest {
                 let id = s.comm.fabric().part_stream_begin(
                     s.dst,
                     s.comm.ctx(),
-                    s.n_parts * s.part_bytes,
-                    spans,
+                    crate::transport::PartStreamSend {
+                        total_len: s.n_parts * s.part_bytes,
+                        spans,
+                        src_grant: s.storage.seg_grant().map(|(_, token, _)| token),
+                        copies: Arc::clone(&s.copies),
+                    },
                 );
                 s.stream_id.store(id, Ordering::Release);
                 let trace = s.comm.fabric().trace();
@@ -1301,9 +1337,16 @@ impl PsendRequest {
                     self.issue(m, None);
                 }
             }
+            if s.stream {
+                // Cooperative copy: take over every published message
+                // the receiver has not claimed yet.
+                s.comm
+                    .fabric()
+                    .part_stream_help(s.comm.rank(), s.stream_id.load(Ordering::Acquire));
+            }
             // `sent[m]` covers both "issued" and "buffer reusable": it
             // fires when the channel copy lands, or when the stream
-            // span is on the wire.
+            // span is on the wire or copied out of the shared source.
             for (m, sent) in s.sent.iter().enumerate() {
                 s.comm.fabric().wait_on(sent, s.comm.rank(), || {
                     (
@@ -1344,6 +1387,8 @@ struct PrecvShared {
     /// the sender at init. `start()` arrives on it for every message.
     channel: Option<Arc<PartChannel>>,
     storage: Arc<PartStorage>,
+    /// Messages this side copied into its own buffer (ipc).
+    copies: Arc<AtomicU64>,
     /// Persistent per-message arrival signals: created pre-set so probing
     /// an *inactive* request reports completion (MPI's convention for
     /// inactive persistent requests), reset by `start()` and set by the
@@ -1403,6 +1448,13 @@ impl PrecvRequest {
     /// first `start`).
     fn cur_iter(&self) -> u32 {
         self.inner.iters.load(Ordering::Relaxed).saturating_sub(1) as u32
+    }
+
+    /// Messages whose bytes this side copied into its own buffer,
+    /// summed over all iterations (see [`PsendRequest::copies`]).
+    pub fn copies(&self) -> u64 {
+        // ORDERING: statistic; the iteration's completions order it.
+        self.inner.copies.load(Ordering::Relaxed)
     }
 
     /// `MPI_Start`: arrive on the channel for every message (improved,
@@ -1487,6 +1539,7 @@ impl PrecvRequest {
                     base: buf.as_mut_ptr(),
                     total_len: total,
                     msgs,
+                    copies: Arc::clone(&s.copies),
                 },
             );
         }

@@ -171,6 +171,13 @@ pub fn measure_validated(approach: RealApproach, sc: &RealScenario) -> (Vec<Dura
 }
 
 fn run_strategy(approach: RealApproach, sc: &RealScenario, validate: bool) -> (Vec<Duration>, u64) {
+    let (windows, digest) = run_windows(approach, sc, validate);
+    (windows.iter().map(|&w| overhead(w, sc)).collect(), digest)
+}
+
+/// Run `approach` and return the receiver's raw per-iteration windows
+/// (time-to-solution, injected compute included) plus its digest.
+fn run_windows(approach: RealApproach, sc: &RealScenario, validate: bool) -> (Vec<Duration>, u64) {
     assert_eq!(
         sc.delays_us.len(),
         sc.n_parts(),
@@ -247,7 +254,7 @@ fn part_rank(sc: &RealScenario, comm: Comm, legacy: bool, validate: bool) -> (Ve
             let t0 = Instant::now();
             pr.start();
             pr.wait();
-            times.push(overhead(t0.elapsed(), sc));
+            times.push(t0.elapsed());
             if validate {
                 for p in 0..sc.n_parts() {
                     pr.read_partition(p, |b| digest = fnv1a(digest, b));
@@ -296,7 +303,7 @@ fn single_rank(sc: &RealScenario, comm: Comm, validate: bool) -> (Vec<Duration>,
             let t0 = Instant::now();
             pr.start();
             pr.wait();
-            times.push(overhead(t0.elapsed(), sc));
+            times.push(t0.elapsed());
             if validate {
                 // Partitions are contiguous and ascending, so digesting
                 // the whole buffer matches the canonical partition order.
@@ -369,7 +376,7 @@ fn many_rank(sc: &RealScenario, comm: Comm, validate: bool) -> (Vec<Duration>, u
                     });
                 }
             });
-            times.push(overhead(t0.elapsed(), sc));
+            times.push(t0.elapsed());
             if validate {
                 // Canonical partition order: partition p lives at
                 // reqs[p % n_threads][p / n_threads].
@@ -458,7 +465,7 @@ fn rma_passive_rank(
             comm.send(0, TAG_EXPOSE, &[0]);
             let mut b = [0u8; 1];
             comm.recv_into(Some(0), Some(TAG_DONE), &mut b);
-            times.push(overhead(t0.elapsed(), sc));
+            times.push(t0.elapsed());
             if validate {
                 digest_target_wins(&mut digest, &wins, sc, many);
             }
@@ -534,7 +541,7 @@ fn rma_active_rank(
             for w in &wins {
                 w.wait_epoch();
             }
-            times.push(overhead(t0.elapsed(), sc));
+            times.push(t0.elapsed());
             if validate {
                 digest_target_wins(&mut digest, &wins, sc, many);
             }
@@ -575,18 +582,26 @@ mod tests {
     #[test]
     fn delays_are_subtracted() {
         // A 200µs injected delay must not inflate the reported overhead
-        // (single-message bulk waits for it, then subtracts it).
+        // (single-message bulk waits for it, then subtracts it): every
+        // reported value is its measured window minus exactly the
+        // injected delay, clamped at zero — whatever the windows were.
         let mut sc = RealScenario::immediate(2, 1, 128, 1, 5);
         sc.delays_us[1] = 200.0;
-        let times = measure(RealApproach::PtpSingle, &sc);
-        // Wall-clock scheduling can inflate individual iterations; the
-        // *best* iteration shows the true overhead, which must be far
-        // below the injected 200µs delay.
-        let best = times[1..].iter().min().unwrap();
-        assert!(
-            *best < Duration::from_micros(150),
-            "delay leaked into overhead: best {best:?} of {times:?}"
+        let delay = Duration::from_micros(200);
+        let (windows, _) = run_windows(RealApproach::PtpSingle, &sc, false);
+        assert_eq!(windows.len(), sc.iterations);
+        for w in windows {
+            let reported = overhead(w, &sc);
+            assert_eq!(reported, w.saturating_sub(delay), "window {w:?}");
+            if w >= delay {
+                assert_eq!(reported + delay, w, "the delay is subtracted in full");
+            }
+        }
+        assert_eq!(
+            overhead(Duration::from_micros(260), &sc),
+            Duration::from_micros(60)
         );
+        assert_eq!(overhead(Duration::from_micros(150), &sc), Duration::ZERO);
     }
 
     #[test]

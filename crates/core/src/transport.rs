@@ -133,18 +133,10 @@ pub(crate) trait Transport: Send + Sync {
         rts_ns: Option<u64>,
     );
 
-    /// Open a partitioned stream toward `dst`: announce `total_len`
-    /// pinned bytes for the pair on `ctx` and return the stream id that
-    /// subsequent pushes name. `spans` are the sender's per-message byte
-    /// ranges; each span's `done` fires once the writers have put its
-    /// last byte on the wire.
-    fn part_stream_begin(
-        &self,
-        dst: usize,
-        ctx: u64,
-        total_len: usize,
-        spans: Vec<SendSpan>,
-    ) -> u64;
+    /// Open a partitioned stream toward `dst`: announce the pinned
+    /// source buffer `send` for the pair on `ctx` and return the stream
+    /// id that subsequent pushes name.
+    fn part_stream_begin(&self, dst: usize, ctx: u64, send: PartStreamSend) -> u64;
 
     /// Hand one ready byte range (`parts` coalesced partitions ending
     /// their `pready`s) to the stream. `data` is *pinned*, not copied:
@@ -222,6 +214,30 @@ pub(crate) trait Transport: Send + Sync {
     fn release_part_dest(&self, src: usize, token: u64, len: usize) {
         let _ = (src, token, len);
     }
+
+    /// Try to place a partitioned *source* buffer of `len` bytes and
+    /// `n_msgs` messages where the receiver can read it directly (the
+    /// ipc arena the sender's process allocates from), so ready
+    /// messages can be copied by whichever side is idle. Returns the
+    /// grant token and the data pointer, or `None` (sockets, no room):
+    /// callers fall back to owned storage.
+    fn alloc_part_src(&self, dst: usize, n_msgs: usize, len: usize) -> Option<(u64, *mut u8)> {
+        let _ = (dst, n_msgs, len);
+        None
+    }
+
+    /// Return a grant from `alloc_part_src` once no message of the
+    /// send-side storage can still be copied.
+    fn release_part_src(&self, fabric: &Fabric, dst: usize, token: u64, n_msgs: usize, len: usize) {
+        let _ = (fabric, dst, token, n_msgs, len);
+    }
+
+    /// The sender's `wait` on stream `stream_id`: copy every published
+    /// message nobody has claimed yet. A no-op where `pready` already
+    /// moves the bytes (sockets, owned source storage).
+    fn part_stream_help(&self, fabric: &Fabric, rank: usize, stream_id: u64) {
+        let _ = (fabric, rank, stream_id);
+    }
 }
 
 /// A rendezvous source buffer pinned for the wire: the pointer stays
@@ -263,6 +279,9 @@ pub(crate) struct PartStreamRecv {
     pub(crate) total_len: usize,
     /// Per-message ranges covering `0..total_len`.
     pub(crate) msgs: Vec<PartStreamMsg>,
+    /// The request's count of messages this side copied into the
+    /// buffer (ipc only).
+    pub(crate) copies: Arc<AtomicU64>,
 }
 
 // SAFETY: the destination buffer outlives the stream (the receiving
@@ -283,6 +302,22 @@ pub(crate) struct SendSpan {
     pub(crate) remaining: AtomicUsize,
     /// The sender-side wait completion for the message.
     pub(crate) done: Arc<Completion>,
+}
+
+/// A whole partitioned source buffer opened as a stream by
+/// `psend.start()`.
+pub(crate) struct PartStreamSend {
+    /// Whole-buffer length in bytes.
+    pub(crate) total_len: usize,
+    /// Per-message spans; each `done` fires once the span's bytes are
+    /// out of the source buffer.
+    pub(crate) spans: Vec<SendSpan>,
+    /// The `alloc_part_src` token when the buffer lives in the ipc
+    /// segment.
+    pub(crate) src_grant: Option<u64>,
+    /// The request's count of messages this side copied into the
+    /// receiver's buffer (ipc only).
+    pub(crate) copies: Arc<AtomicU64>,
 }
 
 /// One coalesced run of ready partitions, pinned in the source buffer
@@ -393,6 +428,8 @@ pub(crate) struct StreamRecv {
     /// when this hits zero.
     pub(crate) remaining_total: AtomicUsize,
     pub(crate) msgs: Vec<PartStreamMsg>,
+    /// See [`PartStreamRecv::copies`].
+    pub(crate) copies: Arc<AtomicU64>,
     /// Sorted, disjoint byte intervals already committed. Failover and
     /// reconnect replay whole batches (at-least-once delivery), so every
     /// commit first claims its range here and only the never-seen-before
@@ -1223,6 +1260,7 @@ impl SocketTransport {
             total_len,
             remaining_total: AtomicUsize::new(total_len),
             msgs: recv.msgs,
+            copies: recv.copies,
             committed: Mutex::new(Vec::new()),
         });
         self.streams_in.lock().insert((src, rdv_id), stream);
@@ -1963,13 +2001,10 @@ impl Transport for SocketTransport {
         self.send_frame(src, Frame::Cts { rdv_id });
     }
 
-    fn part_stream_begin(
-        &self,
-        dst: usize,
-        ctx: u64,
-        total_len: usize,
-        spans: Vec<SendSpan>,
-    ) -> u64 {
+    fn part_stream_begin(&self, dst: usize, ctx: u64, send: PartStreamSend) -> u64 {
+        let PartStreamSend {
+            total_len, spans, ..
+        } = send;
         // ORDERING: id allocator (see `ship_rts`) — uniqueness only.
         let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
         let spans = Arc::new(spans);
@@ -3053,7 +3088,7 @@ impl Transport for SharedMemTransport {
         unreachable!("shared-memory fabric never routes through the wire")
     }
 
-    fn part_stream_begin(&self, _: usize, _: u64, _: usize, _: Vec<SendSpan>) -> u64 {
+    fn part_stream_begin(&self, _: usize, _: u64, _: PartStreamSend) -> u64 {
         unreachable!("shared-memory fabric never routes through the wire")
     }
 

@@ -3,11 +3,13 @@
 //! [`pcomm_net::ipc`]) holding, per directed pair, an SPSC descriptor
 //! ring plus a FIFO slab and a partition arena. Small frames ride
 //! inline in ring slots (bcopy); large rendezvous payloads stream
-//! through the slab; partitioned streams whose destination lives in
-//! the arena commit with **no copy at all** — every `pready` lands its
-//! bytes directly in receiver-visible memory and publishes a
-//! payload-less `K_PART` descriptor, so `parrived` flips without a
-//! reader-thread hop.
+//! through the slab. A partitioned stream whose source and destination
+//! both live in arenas moves each message with **one copy, made by
+//! whichever rank is idle**: `pready` only publishes the message
+//! (a claim word plus a payload-less `K_PART_READY` descriptor); the
+//! receiver claims and copies it while it drains, and the sender's
+//! `wait` claims and copies whatever is left, committing it with a
+//! payload-less `K_PART` (see [`pcomm_net::ipc::claim`]).
 //!
 //! Wakeups are futex doorbells ([`pcomm_net::ipc::doorbell`]): the
 //! steady state is zero syscalls per transfer (spin-then-futex on both
@@ -33,8 +35,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pcomm_net::frame::{self, Frame};
+use pcomm_net::ipc::claim;
 use pcomm_net::ipc::ring::{
-    Channel, SlotDesc, INLINE_MAX, K_FRAME, K_PART, K_PARTF, K_PART_CTS, K_RDV, K_SLAB,
+    Channel, SlotDesc, INLINE_MAX, K_FRAME, K_PART, K_PARTF, K_PART_CTS, K_PART_DONE, K_PART_READY,
+    K_RDV, K_SLAB,
 };
 use pcomm_net::ipc::slab::ArenaAlloc;
 use pcomm_net::ipc::{self, IpcParams, Segment};
@@ -45,8 +49,8 @@ use crate::error::{PcommError, PeerSocketState};
 use crate::fabric::{Fabric, PostedRecv, WAIT_SLICE};
 use crate::sync::{Completion, Mutex};
 use crate::transport::{
-    claim_range, complete_spans, decode_abort, encode_abort, PartPair, PartStreamRecv, PinnedSend,
-    SendSpan, StreamRecv, Transport, FINALIZE_TIMEOUT, TEARDOWN_SLICE,
+    claim_range, complete_spans, decode_abort, encode_abort, PartPair, PartStreamRecv,
+    PartStreamSend, PinnedSend, SendSpan, StreamRecv, Transport, FINALIZE_TIMEOUT, TEARDOWN_SLICE,
 };
 
 /// How long `wait_slice` spins making inline progress before parking on
@@ -95,7 +99,9 @@ struct IpcPeer {
     /// Last observed heartbeat value and when it last changed.
     hb_seen: Mutex<Option<(u64, Instant)>>,
     /// Allocator over the *inbound* channel's partition arena: grants
-    /// receiver-side destinations for streams arriving from this peer.
+    /// receiver-side destinations for streams arriving from this peer,
+    /// and source buffers for streams toward it (the peer reads those
+    /// through its outbound channel).
     arena: Mutex<ArenaAlloc>,
 }
 
@@ -116,8 +122,9 @@ struct PendingRdvIpc {
     dst: usize,
 }
 
-/// One pushed range queued while the stream's `K_PART_CTS` is still in
-/// flight.
+/// One pushed range: queued while the stream's `K_PART_CTS` is still
+/// in flight, or published for a cooperative copy.
+#[derive(Clone, Copy)]
 struct QueuedRange {
     offset: u64,
     ptr: *const u8,
@@ -135,13 +142,99 @@ struct IpcStreamSend {
     dst: usize,
     total_len: usize,
     /// Bytes pushed so far; the entry retires at `total_len` once the
-    /// CTS has also arrived.
+    /// CTS has also arrived and no published copy is open.
     pushed: usize,
     /// `None` until the `K_PART_CTS` arrives; then the receiver's arena
     /// grant (`Some(offset)`) or `None` for the FIFO-copy fallback.
     cts: Option<Option<u64>>,
     queued: Vec<QueuedRange>,
     spans: Arc<Vec<SendSpan>>,
+    /// Arena offset of the source grant (in the channel from `dst` to
+    /// this rank) when the source buffer lives in the segment. With an
+    /// arena grant from the receiver too, ranges are published for a
+    /// cooperative copy instead of copied at push.
+    src: Option<u64>,
+    /// The request's count of messages this rank copied.
+    copies: Arc<AtomicU64>,
+    /// Fires once the CTS arrived and every range queued before it has
+    /// been shipped or published.
+    cts_in: Arc<Completion>,
+    /// Published ranges the sender's `wait` has not tried to claim yet.
+    published: Vec<QueuedRange>,
+    /// Published ranges whose copy has not landed yet.
+    open: usize,
+}
+
+impl IpcStreamSend {
+    /// What the shipping paths need of the entry, cloned out from under
+    /// the `streams_out` lock.
+    fn target(&self, rdv_id: u64) -> StreamTarget {
+        StreamTarget {
+            dst: self.dst,
+            rdv_id,
+            spans: Arc::clone(&self.spans),
+            copies: Arc::clone(&self.copies),
+        }
+    }
+
+    /// `(source grant, destination grant)` once the CTS says both
+    /// buffers live in arenas: ranges are then copied cooperatively.
+    fn coop(&self) -> Option<(u64, u64)> {
+        match (self.src, self.cts) {
+            (Some(src), Some(Some(grant))) => Some((src, grant)),
+            _ => None,
+        }
+    }
+
+    /// Nothing left to ship, publish or hear back about: the entry
+    /// can retire.
+    fn finished(&self) -> bool {
+        self.cts.is_some() && self.pushed >= self.total_len && self.open == 0
+    }
+}
+
+/// One partitioned stream as seen by the code that ships its ranges.
+struct StreamTarget {
+    dst: usize,
+    rdv_id: u64,
+    spans: Arc<Vec<SendSpan>>,
+    copies: Arc<AtomicU64>,
+}
+
+/// A message this rank claimed while draining a `K_PART_READY`: the
+/// copy (and the `K_PART_DONE` it owes the sender) runs once the
+/// inbound guard is dropped.
+struct CoopCopy {
+    rdv_id: u64,
+    stream: Arc<StreamRecv>,
+    msg: usize,
+    /// The message's claim word in the sender's source grant.
+    word: *const AtomicU64,
+    /// The message's first byte in the sender's source grant.
+    src: *const u8,
+}
+
+// SAFETY: both pointers lie in the mapped segment, which outlives the
+// transport; the claim just won makes this rank the only reader of the
+// source range until it publishes DONE, and the sender keeps the grant
+// until the `K_PART_DONE` this copy owes arrives.
+unsafe impl Send for CoopCopy {}
+
+/// The claim word of message `msg` in a source grant at `base`.
+///
+/// # Safety
+/// `base` must point at a live source grant of more than `msg`
+/// messages, 8-aligned (see [`IpcTransport::alloc_part_src`]).
+unsafe fn claim_word<'a>(base: *mut u8, msg: usize) -> &'a AtomicU64 {
+    // SAFETY: in bounds and aligned per the contract; the word is only
+    // ever accessed atomically, by both processes.
+    unsafe { &*(base.add(msg * 8) as *const AtomicU64) }
+}
+
+/// Index of the message whose span starts at `offset` (ipc ranges are
+/// whole messages: `issue` pushes one per message).
+fn msg_at(spans: &[SendSpan], offset: u64) -> usize {
+    spans.partition_point(|s| (s.offset as u64) < offset)
 }
 
 /// Payload placement for one pushed record.
@@ -161,7 +254,13 @@ enum Body<'a> {
 /// everything else dispatches inline (zero extra copies).
 enum Deferred {
     Frame(Frame),
-    PartCts { rdv_id: u64, grant: Option<u64> },
+    PartCts {
+        rdv_id: u64,
+        grant: Option<u64>,
+    },
+    /// Claimed inline (the claim must not outlive the popped slot, see
+    /// [`IpcTransport::release_part_src`]); copied and acknowledged here.
+    PartCopy(CoopCopy),
 }
 
 /// The shared-memory transport for one rank of a same-host run.
@@ -440,6 +539,11 @@ impl IpcTransport {
         any
     }
 
+    /// Whether any inbound channel holds an unpopped record.
+    fn inbound_pending(&self) -> bool {
+        self.peers.iter().flatten().any(|p| p.inb_ch.has_pending())
+    }
+
     /// Drain `src`'s inbound channel until it is empty or another
     /// thread holds it. One record per lock acquisition: pushy records
     /// are dispatched *after* the guard drops and the slot is recycled
@@ -466,6 +570,8 @@ impl IpcTransport {
                             K_PART | K_PARTF => frame::op::PART_DATA as u16,
                             K_RDV => frame::op::RDV_DATA as u16,
                             K_PART_CTS => frame::op::PART_CTS as u16,
+                            K_PART_READY => frame::op::PART_READY as u16,
+                            K_PART_DONE => frame::op::PART_DONE as u16,
                             // [ver][op][body]: the op byte of the frame.
                             _ => payload.get(1).copied().unwrap_or(0) as u16,
                         };
@@ -504,6 +610,14 @@ impl IpcTransport {
                                 rdv_id: desc.a,
                                 grant: (desc.b != u64::MAX).then_some(desc.b),
                             });
+                        }
+                        K_PART_READY => {
+                            deferred = self
+                                .claim_ready(fabric, src, desc.a, desc.b, desc.c)
+                                .map(Deferred::PartCopy);
+                        }
+                        K_PART_DONE => {
+                            self.handle_part_done(desc.a, desc.b as usize, desc.c as usize)
                         }
                         K_FRAME | K_SLAB => match Frame::decode(payload) {
                             Ok(f) => match f {
@@ -550,6 +664,7 @@ impl IpcTransport {
                 Some(Deferred::PartCts { rdv_id, grant }) => {
                     self.handle_part_cts(fabric, src, rdv_id, grant)
                 }
+                Some(Deferred::PartCopy(copy)) => self.coop_copy(fabric, src, copy),
                 None => {}
             }
         }
@@ -911,6 +1026,7 @@ impl IpcTransport {
             total_len,
             remaining_total: std::sync::atomic::AtomicUsize::new(total_len),
             msgs: recv.msgs,
+            copies: recv.copies,
             committed: Mutex::new(Vec::new()),
         });
         self.streams_in.lock().insert((src, rdv_id), stream);
@@ -933,7 +1049,8 @@ impl IpcTransport {
     }
 
     /// Sender: the receiver pinned its destination — release every
-    /// queued range under the arrived grant.
+    /// queued range under the arrived grant: publish it for a
+    /// cooperative copy when both buffers live in arenas, else ship it.
     fn handle_part_cts(&self, fabric: &Fabric, peer: usize, rdv_id: u64, grant: Option<u64>) {
         if fabric.aborted() {
             return;
@@ -949,48 +1066,55 @@ impl IpcTransport {
                     epoch: 0,
                 });
         }
-        let (dst, spans, queued) = {
+        let (target, queued, coop, cts_in) = {
             let mut out = self.streams_out.lock();
             let Some(stream) = out.get_mut(&rdv_id) else {
                 return; // duplicate or post-abort straggler
             };
             stream.cts = Some(grant);
             let queued = std::mem::take(&mut stream.queued);
-            let dst = stream.dst;
-            let spans = Arc::clone(&stream.spans);
-            if stream.pushed >= stream.total_len {
+            let coop = stream.coop().map(|(src, _)| src);
+            if coop.is_some() {
+                stream.open += queued.len();
+                stream.published.extend_from_slice(&queued);
+            }
+            let target = stream.target(rdv_id);
+            let cts_in = Arc::clone(&stream.cts_in);
+            if stream.finished() {
                 out.remove(&rdv_id);
             }
-            (dst, spans, queued)
+            (target, queued, coop, cts_in)
         };
-        debug_assert_eq!(dst, peer, "PartCts must come from the stream's receiver");
+        debug_assert_eq!(
+            target.dst, peer,
+            "PartCts must come from the stream's receiver"
+        );
         for q in queued {
-            self.ship_range(
-                fabric, dst, rdv_id, grant, &spans, q.offset, q.ptr, q.len, q.parts,
-            );
+            match coop {
+                Some(src) => self.publish_range(fabric, &target, src, q),
+                None => self.ship_range(fabric, &target, grant, q),
+            }
         }
+        cts_in.set();
     }
 
     /// Sender: put one ready range in the receiver's hands. With a
-    /// grant: copy once into the shared arena destination and publish a
-    /// payload-less `K_PART` — the receiver commits in place, no second
-    /// copy, no reader-thread hop. Without: stage `K_PARTF` chunks
-    /// through the FIFO slab.
-    #[allow(clippy::too_many_arguments)] // one per range field
+    /// grant: copy once into the shared arena destination and commit.
+    /// Without: stage `K_PARTF` chunks through the FIFO slab.
     fn ship_range(
         &self,
         fabric: &Fabric,
-        dst: usize,
-        rdv_id: u64,
+        target: &StreamTarget,
         grant: Option<u64>,
-        spans: &Arc<Vec<SendSpan>>,
-        offset: u64,
-        ptr: *const u8,
-        len: usize,
-        parts: u16,
+        q: QueuedRange,
     ) {
-        let trace = fabric.trace();
-        let stream32 = rdv_id as u32;
+        let (dst, rdv_id) = (target.dst, target.rdv_id);
+        let QueuedRange {
+            offset,
+            ptr,
+            len,
+            parts,
+        } = q;
         match grant {
             Some(g) => {
                 let Some(peer) = &self.peers[dst] else {
@@ -1003,33 +1127,7 @@ impl IpcTransport {
                 unsafe {
                     std::ptr::copy_nonoverlapping(ptr, peer.out_ch.arena_ptr(g + offset), len);
                 }
-                let (p16, off64, len32) = (dst as u16, offset, len as u32);
-                trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                    peer: p16,
-                    lane: 0,
-                    tx: true,
-                    stream: stream32,
-                    offset: off64,
-                    len: len32,
-                });
-                let desc = SlotDesc {
-                    kind: K_PART,
-                    parts,
-                    a: rdv_id,
-                    b: offset,
-                    c: len as u64,
-                };
-                if self.push_record(
-                    fabric,
-                    dst,
-                    frame::op::PART_DATA,
-                    desc,
-                    Body::Inline(&[]),
-                    None,
-                    false,
-                ) {
-                    complete_spans(spans, offset as usize, len);
-                }
+                self.commit_copied(fabric, target, q);
             }
             None => {
                 let mut done = 0usize;
@@ -1038,15 +1136,7 @@ impl IpcTransport {
                     // SAFETY: invariant (1) — the source stays pinned
                     // until the covering spans complete below.
                     let chunk = unsafe { std::slice::from_raw_parts(ptr.add(done), n) };
-                    let (p16, off64, len32) = (dst as u16, offset + done as u64, n as u32);
-                    trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                        peer: p16,
-                        lane: 0,
-                        tx: true,
-                        stream: stream32,
-                        offset: off64,
-                        len: len32,
-                    });
+                    self.emit_tx_data(fabric, target, offset + done as u64, n);
                     let desc = SlotDesc {
                         kind: K_PARTF,
                         parts: if done + n == len { parts } else { 0 },
@@ -1065,11 +1155,214 @@ impl IpcTransport {
                     ) {
                         return; // aborted mid-stream
                     }
-                    complete_spans(spans, (offset + done as u64) as usize, n);
+                    complete_spans(&target.spans, (offset + done as u64) as usize, n);
                     done += n;
                 }
             }
         }
+    }
+
+    /// Sender: this rank copied range `q` into the receiver's granted
+    /// arena destination — publish a payload-less `K_PART` (the
+    /// receiver commits in place: no second copy, no reader-thread hop)
+    /// and release the covered spans.
+    fn commit_copied(&self, fabric: &Fabric, target: &StreamTarget, q: QueuedRange) {
+        self.emit_tx_data(fabric, target, q.offset, q.len);
+        let desc = SlotDesc {
+            kind: K_PART,
+            parts: q.parts,
+            a: target.rdv_id,
+            b: q.offset,
+            c: q.len as u64,
+        };
+        if self.push_record(
+            fabric,
+            target.dst,
+            frame::op::PART_DATA,
+            desc,
+            Body::Inline(&[]),
+            None,
+            false,
+        ) {
+            // ORDERING: statistic; read after the iteration's waits.
+            target.copies.fetch_add(1, Ordering::Relaxed);
+            complete_spans(&target.spans, q.offset as usize, q.len);
+        }
+    }
+
+    /// Sender: the ledger event for bytes put at the receiver's
+    /// disposal (shipped, committed, or published for a copy).
+    fn emit_tx_data(&self, fabric: &Fabric, target: &StreamTarget, offset: u64, len: usize) {
+        let (peer, stream, len) = (target.dst as u16, target.rdv_id as u32, len as u32);
+        fabric
+            .trace()
+            .emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
+                peer,
+                lane: 0,
+                tx: true,
+                stream,
+                offset,
+                len,
+            });
+    }
+
+    /// Sender: publish ready range `q` (one whole message) for a
+    /// cooperative copy out of the source grant at arena offset `src`:
+    /// READY in its claim word, then a payload-less `K_PART_READY`.
+    /// Whichever rank claims it first makes the one copy.
+    fn publish_range(&self, fabric: &Fabric, target: &StreamTarget, src: u64, q: QueuedRange) {
+        let (dst, rdv_id) = (target.dst, target.rdv_id);
+        let Some(peer) = &self.peers[dst] else {
+            return;
+        };
+        let msg = msg_at(&target.spans, q.offset);
+        // SAFETY: `src` is this stream's source grant in the inbound
+        // arena (`alloc_part_src` sized its header for every message and
+        // checked alignment); the grant outlives the stream.
+        let word = unsafe { claim_word(peer.inb_ch.arena_ptr(src), msg) };
+        self.emit_tx_data(fabric, target, q.offset, q.len);
+        if let Err(w) = claim::publish(word, rdv_id) {
+            fabric.fail(PcommError::misuse(
+                self.rank,
+                format!(
+                    "partitioned message {msg} republished while its claim word reads \
+                     {w:#x}: the previous copy has not landed"
+                ),
+            ));
+            return;
+        }
+        let desc = SlotDesc {
+            kind: K_PART_READY,
+            parts: q.parts,
+            a: rdv_id,
+            b: src,
+            c: msg as u64,
+        };
+        self.push_record(
+            fabric,
+            dst,
+            frame::op::PART_READY,
+            desc,
+            Body::Inline(&[]),
+            None,
+            false,
+        );
+    }
+
+    /// Sender: the receiver's cooperative copy of `offset..offset+len`
+    /// landed — release the covered spans.
+    fn handle_part_done(&self, rdv_id: u64, offset: usize, len: usize) {
+        let spans = {
+            let mut out = self.streams_out.lock();
+            let Some(stream) = out.get_mut(&rdv_id) else {
+                return; // post-abort straggler
+            };
+            stream.open = stream.open.saturating_sub(1);
+            let spans = Arc::clone(&stream.spans);
+            if stream.finished() {
+                out.remove(&rdv_id);
+            }
+            spans
+        };
+        complete_spans(&spans, offset, len);
+    }
+
+    /// Receiver, inline while draining a `K_PART_READY`: try to claim
+    /// message `msg` of stream `rdv_id`, whose source grant sits at
+    /// arena offset `grant` of the channel back to `src`. The claim
+    /// happens before the slot is popped, so no claim attempt on a
+    /// grant outlives its descriptor.
+    fn claim_ready(
+        &self,
+        fabric: &Fabric,
+        src: usize,
+        rdv_id: u64,
+        grant: u64,
+        msg: u64,
+    ) -> Option<CoopCopy> {
+        if fabric.aborted() {
+            return None;
+        }
+        let stream = self.streams_in.lock().get(&(src, rdv_id)).cloned()?;
+        let peer = self.peers[src].as_ref()?;
+        let hdr = claim::header_bytes(stream.msgs.len());
+        let arena = &peer.out_ch;
+        let fits = (msg as usize) < stream.msgs.len()
+            && grant.is_multiple_of(64)
+            && grant
+                .checked_add(hdr + stream.total_len as u64)
+                .is_some_and(|end| end <= arena.arena_bytes());
+        if !fits {
+            fabric.fail(PcommError::misuse(
+                src,
+                format!(
+                    "corrupt partition publish: message {msg} of a {}-message stream \
+                     at arena offset {grant}",
+                    stream.msgs.len()
+                ),
+            ));
+            return None;
+        }
+        let m = msg as usize;
+        // SAFETY: bounds checked above.
+        let base = unsafe { arena.arena_ptr(grant) };
+        if !(base as usize).is_multiple_of(8) {
+            fabric.fail(PcommError::misuse(
+                src,
+                format!("partition publish names an unaligned claim word at {grant}"),
+            ));
+            return None;
+        }
+        // SAFETY: in bounds and aligned, checked above.
+        let word = unsafe { claim_word(base, m) };
+        if !claim::try_claim(word, rdv_id) {
+            return None; // the sender's wait took it
+        }
+        Some(CoopCopy {
+            rdv_id,
+            msg: m,
+            word,
+            // SAFETY: inside the grant, checked above.
+            src: unsafe { base.add((hdr as usize) + stream.msgs[m].offset) },
+            stream,
+        })
+    }
+
+    /// Receiver: make the copy claimed in [`Self::claim_ready`] — move
+    /// the message into the pinned destination, mark it DONE, commit
+    /// it, and tell the sender its span is free (`K_PART_DONE`).
+    fn coop_copy(&self, fabric: &Fabric, src: usize, copy: CoopCopy) {
+        if fabric.aborted() {
+            return; // both sides unwind; the sender keeps its grant
+        }
+        let msg = &copy.stream.msgs[copy.msg];
+        // SAFETY: the won claim makes this rank the only reader of the
+        // source range until DONE; the destination range belongs to the
+        // stream until its completion fires below (invariant (1)).
+        unsafe {
+            std::ptr::copy_nonoverlapping(copy.src, copy.stream.base.add(msg.offset), msg.len);
+            claim::finish(&*copy.word, copy.rdv_id);
+        }
+        let landed =
+            self.commit_stream_range(fabric, src, copy.rdv_id, &copy.stream, msg.offset, msg.len);
+        // ORDERING: statistic; read after the iteration's waits.
+        copy.stream.copies.fetch_add(landed, Ordering::Relaxed);
+        let desc = SlotDesc {
+            kind: K_PART_DONE,
+            parts: 0,
+            a: copy.rdv_id,
+            b: msg.offset as u64,
+            c: msg.len as u64,
+        };
+        self.push_record(
+            fabric,
+            src,
+            frame::op::PART_DONE,
+            desc,
+            Body::Inline(&[]),
+            None,
+            false,
+        );
     }
 
     /// Receiver: a zero-copy `K_PART` commit — the bytes are already in
@@ -1109,7 +1402,9 @@ impl IpcTransport {
         unsafe {
             std::ptr::copy_nonoverlapping(payload.as_ptr(), stream.base.add(offset), payload.len());
         }
-        self.commit_stream_range(fabric, src, rdv_id, &stream, offset, payload.len());
+        let landed = self.commit_stream_range(fabric, src, rdv_id, &stream, offset, payload.len());
+        // ORDERING: statistic; read after the iteration's waits.
+        stream.copies.fetch_add(landed, Ordering::Relaxed);
     }
 
     /// Receiver: look up the active stream for `(src, rdv_id)` and
@@ -1144,9 +1439,10 @@ impl IpcTransport {
 
     /// Receiver: the bytes of `offset..offset+len` are in the pinned
     /// destination — flip every message completion the range finishes
-    /// and retire the stream once the whole buffer has landed. Same
-    /// dedup ledger as the socket transport (the wire can't replay on
-    /// ipc, but the audit FSM proves that rather than assuming it).
+    /// and retire the stream once the whole buffer has landed; returns
+    /// how many messages it completed. Same dedup ledger as the socket
+    /// transport (the wire can't replay on ipc, but the audit FSM
+    /// proves that rather than assuming it).
     fn commit_stream_range(
         &self,
         fabric: &Fabric,
@@ -1155,7 +1451,7 @@ impl IpcTransport {
         stream: &StreamRecv,
         offset: usize,
         len: usize,
-    ) {
+    ) -> u64 {
         let end = offset + len;
         let trace = fabric.trace();
         let stream32 = rdv_id as u32;
@@ -1176,7 +1472,7 @@ impl IpcTransport {
         };
         let fresh_bytes: usize = fresh.iter().map(|&(lo, hi)| hi - lo).sum();
         if fresh_bytes == 0 {
-            return; // pure duplicate: every byte landed before
+            return 0; // pure duplicate: every byte landed before
         }
         for &(f_lo, f_hi) in &fresh {
             let (p16, lo64, flen) = (src as u16, f_lo as u64, (f_hi - f_lo) as u32);
@@ -1225,6 +1521,7 @@ impl IpcTransport {
         {
             self.streams_in.lock().remove(&(src, rdv_id));
         }
+        msgs_done as u64
     }
 }
 
@@ -1491,13 +1788,13 @@ impl Transport for IpcTransport {
         self.send_frame(src, Frame::Cts { rdv_id });
     }
 
-    fn part_stream_begin(
-        &self,
-        dst: usize,
-        ctx: u64,
-        total_len: usize,
-        spans: Vec<SendSpan>,
-    ) -> u64 {
+    fn part_stream_begin(&self, dst: usize, ctx: u64, send: PartStreamSend) -> u64 {
+        let PartStreamSend {
+            total_len,
+            spans,
+            src_grant,
+            copies,
+        } = send;
         // ORDERING: id allocator (see `ship_rts`) — uniqueness only.
         let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
         // Register before the RTS leaves so a fast K_PART_CTS finds us.
@@ -1510,6 +1807,11 @@ impl Transport for IpcTransport {
                 cts: None,
                 queued: Vec::new(),
                 spans: Arc::new(spans),
+                src: src_grant,
+                copies,
+                cts_in: Completion::new(),
+                published: Vec::new(),
+                open: 0,
             },
         );
         self.send_frame(
@@ -1531,47 +1833,103 @@ impl Transport for IpcTransport {
         data: &[u8],
         parts: u16,
     ) {
-        let shipped = {
+        let q = QueuedRange {
+            offset,
+            ptr: data.as_ptr(),
+            len: data.len(),
+            parts,
+        };
+        let (target, grant, coop) = {
             let mut out = self.streams_out.lock();
             let Some(stream) = out.get_mut(&stream_id) else {
                 return; // post-abort straggler
             };
             stream.pushed += data.len();
-            match stream.cts {
-                None => {
-                    // The CTS handler drains `queued` and retires the
-                    // entry when it arrives.
-                    stream.queued.push(QueuedRange {
-                        offset,
-                        ptr: data.as_ptr(),
-                        len: data.len(),
-                        parts,
-                    });
-                    return;
-                }
-                Some(grant) => {
-                    let dst = stream.dst;
-                    let spans = Arc::clone(&stream.spans);
-                    if stream.pushed >= stream.total_len {
-                        // Last byte pushed post-CTS: the entry is done.
-                        out.remove(&stream_id);
-                    }
-                    (dst, grant, spans)
-                }
+            let Some(grant) = stream.cts else {
+                // The CTS handler drains `queued` when it arrives.
+                stream.queued.push(q);
+                return;
+            };
+            let coop = stream.coop().map(|(src, _)| src);
+            if coop.is_some() {
+                stream.open += 1;
+                stream.published.push(q);
+            }
+            let target = stream.target(stream_id);
+            if stream.finished() {
+                out.remove(&stream_id);
+            }
+            (target, grant, coop)
+        };
+        match coop {
+            Some(src) => self.publish_range(fabric, &target, src, q),
+            None => self.ship_range(fabric, &target, grant, q),
+        }
+    }
+
+    fn part_stream_help(&self, fabric: &Fabric, rank: usize, stream_id: u64) {
+        let cts_in = {
+            let out = self.streams_out.lock();
+            match out.get(&stream_id) {
+                Some(stream) if stream.src.is_some() => Arc::clone(&stream.cts_in),
+                _ => return, // retired, or `pready` copies itself
             }
         };
-        let (dst, grant, spans) = shipped;
-        self.ship_range(
-            fabric,
-            dst,
-            stream_id,
-            grant,
-            &spans,
-            offset,
-            data.as_ptr(),
-            data.len(),
-            parts,
-        );
+        // Nothing is published before the CTS: wait for it, then claim.
+        fabric.wait_on(&cts_in, rank, || {
+            (
+                format!("partitioned stream {stream_id} CTS wait"),
+                None,
+                None,
+            )
+        });
+        let (target, src, grant, published) = {
+            let mut out = self.streams_out.lock();
+            let Some(stream) = out.get_mut(&stream_id) else {
+                return; // every copy already landed
+            };
+            let Some((src, grant)) = stream.coop() else {
+                return; // no arena destination: `pready` shipped through the FIFO
+            };
+            let published = std::mem::take(&mut stream.published);
+            (stream.target(stream_id), src, grant, published)
+        };
+        let Some(peer) = &self.peers[target.dst] else {
+            return;
+        };
+        // Claim from the back: the receiver drains descriptors from the
+        // front, so the two copiers rarely race for one message.
+        for q in published.into_iter().rev() {
+            let msg = msg_at(&target.spans, q.offset);
+            // SAFETY: as in `publish_range` — the grant outlives the
+            // stream and holds a claim word per message.
+            let word = unsafe { claim_word(peer.inb_ch.arena_ptr(src), msg) };
+            if !claim::try_claim(word, stream_id) {
+                continue; // the receiver took it; its K_PART_DONE will land
+            }
+            if fabric.aborted() {
+                return;
+            }
+            // SAFETY: the receiver's grant covers the stream (as in
+            // `ship_range`), the won claim makes this the only copy of
+            // the range, and the source is invariant (1).
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    q.ptr,
+                    peer.out_ch.arena_ptr(grant + q.offset),
+                    q.len,
+                );
+            }
+            claim::finish(word, stream_id);
+            self.commit_copied(fabric, &target, q);
+            let mut out = self.streams_out.lock();
+            if let Some(stream) = out.get_mut(&stream_id) {
+                stream.open -= 1;
+                if stream.finished() {
+                    out.remove(&stream_id);
+                }
+            }
+        }
     }
 
     fn part_stream_post(&self, fabric: &Fabric, src: usize, ctx: u64, recv: PartStreamRecv) {
@@ -1741,23 +2099,37 @@ impl Transport for IpcTransport {
     }
 
     fn wait_slice(&self, fabric: &Fabric, completion: &Completion) -> bool {
+        if completion.is_set() {
+            return true;
+        }
         // Spin with inline progress first: the same-host round trip is
         // microseconds, and handing it to the progress thread would add
-        // two context switches. Past the window, park — the doorbell
-        // wakes the progress thread, which completes us.
+        // two context switches. While this thread spins, peers' rings
+        // skip waking that thread (the doorbell's spinners word). Past
+        // the window, park — the doorbell wakes the progress thread,
+        // which completes us.
+        let bell = self.segment.doorbell(self.rank);
+        bell.enter_spin();
         let spin_until = Instant::now() + SPIN_WINDOW;
-        loop {
+        let done = loop {
             if completion.is_set() {
-                return true;
+                break true;
             }
             if !self.progress_pass(fabric) {
                 if Instant::now() >= spin_until {
-                    break;
+                    break false;
                 }
                 std::thread::yield_now();
             }
+        };
+        bell.leave_spin();
+        // A record pushed while this thread spun may have skipped its
+        // wake: take it now, and wake the progress thread for anything
+        // that arrives meanwhile.
+        if self.inbound_pending() && (!self.progress_pass(fabric) || self.inbound_pending()) {
+            let _ = bell.ring();
         }
-        completion.wait_timeout(WAIT_SLICE)
+        done || completion.wait_timeout(WAIT_SLICE)
     }
 
     fn alloc_part_dest(&self, src: usize, len: usize) -> Option<(u64, *mut u8)> {
@@ -1778,6 +2150,55 @@ impl Transport for IpcTransport {
         if let Some(peer) = self.peers[src].as_ref() {
             peer.arena.lock().release(token, len as u64);
         }
+    }
+
+    fn alloc_part_src(&self, dst: usize, n_msgs: usize, len: usize) -> Option<(u64, *mut u8)> {
+        let peer = self.peers[dst].as_ref()?;
+        let arena_bytes = peer.inb_ch.arena_bytes();
+        let total = claim::header_bytes(n_msgs) + len as u64;
+        if len == 0 || total > arena_bytes {
+            return None;
+        }
+        // SAFETY: offset 0 of a non-empty arena is in bounds; the
+        // pointer is only used for its address.
+        if !(unsafe { peer.inb_ch.arena_ptr(0) } as usize).is_multiple_of(8) {
+            return None; // claim words need 8-aligned memory
+        }
+        let off = peer.arena.lock().alloc(total)?;
+        // SAFETY: `alloc` returned `off..off+total` inside the arena,
+        // owned by this rank until `release_part_src`; the peer reads it
+        // only through published claims.
+        unsafe {
+            let base = peer.inb_ch.arena_ptr(off);
+            std::ptr::write_bytes(base, 0, claim::header_bytes(n_msgs) as usize);
+            Some((off, base.add(claim::header_bytes(n_msgs) as usize)))
+        }
+    }
+
+    fn release_part_src(&self, fabric: &Fabric, dst: usize, token: u64, n_msgs: usize, len: usize) {
+        let Some(peer) = self.peers[dst].as_ref() else {
+            return;
+        };
+        // A `K_PART_READY` still in the ring would make the peer try a
+        // claim on this range after it is reused: wait until the peer
+        // popped every record pushed so far (claims happen before the
+        // pop). After an abort, or if the peer stops draining, keep the
+        // grant — a leaked range is harmless, a reused one is not.
+        let mark = peer.out.lock().pushed();
+        let deadline = Instant::now() + FINALIZE_TIMEOUT;
+        while !peer.out_ch.consumed_through(mark) {
+            if fabric.aborted() || self.stop.load(Ordering::Acquire) || Instant::now() >= deadline {
+                return;
+            }
+            if !self.progress_pass(fabric) {
+                std::thread::yield_now();
+            }
+        }
+        if fabric.aborted() {
+            return;
+        }
+        let total = claim::header_bytes(n_msgs) + len as u64;
+        peer.arena.lock().release(token, total);
     }
 }
 

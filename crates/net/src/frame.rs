@@ -104,6 +104,12 @@ pub mod op {
     pub const HEARTBEAT: u8 = 17;
     /// Post-failover stream resynchronisation.
     pub const STREAM_RESYNC: u8 = 18;
+    /// Cooperative-copy publish (ipc only: the payload-less
+    /// `K_PART_READY` ring record; never framed).
+    pub const PART_READY: u8 = 19;
+    /// Cooperative-copy completion by the receiver (ipc only: the
+    /// payload-less `K_PART_DONE` ring record; never framed).
+    pub const PART_DONE: u8 = 20;
 
     /// Human-readable opcode name for audit findings; `"op<N>"` is
     /// never returned for valid wire traffic.
@@ -127,6 +133,8 @@ pub mod op {
             PART_DATA => "PartData",
             HEARTBEAT => "Heartbeat",
             STREAM_RESYNC => "StreamResync",
+            PART_READY => "PartReady",
+            PART_DONE => "PartDone",
             _ => "op?",
         }
     }

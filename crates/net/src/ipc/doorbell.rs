@@ -15,21 +15,71 @@
 //! `sleepers > 0` and wakes. Waits are additionally bounded by the
 //! caller's slice (≤ a few ms), so even a theoretically lost wake only
 //! costs one slice, never liveness.
+//!
+//! A rank's inbound doorbell also carries a *spinners* word: the
+//! number of the rank's threads draining inline right now. While it is
+//! nonzero a ring skips the wake — a spinner will pop the work, so
+//! waking the parked progress thread would only cost the notifier a
+//! syscall and the receiver a context switch. Each spinner leaves with
+//! [`Doorbell::leave_spin`] and then re-checks for work; the
+//! `SeqCst` fences on both sides (Dekker-style) guarantee that a
+//! record published without a wake is seen by that re-check.
 
 use crate::sys;
 use std::io;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{fence, AtomicU32, Ordering};
 
-/// A bell/sleepers word pair somewhere in the shared segment.
+/// A bell/sleepers word pair somewhere in the shared segment, plus the
+/// owner's spinners word for inbound doorbells.
 pub struct Doorbell<'a> {
     bell: &'a AtomicU32,
     sleepers: &'a AtomicU32,
+    spinners: Option<&'a AtomicU32>,
 }
 
 impl<'a> Doorbell<'a> {
     /// Wrap a bell/sleepers pair (segment layout picks the words).
     pub fn new(bell: &'a AtomicU32, sleepers: &'a AtomicU32) -> Self {
-        Doorbell { bell, sleepers }
+        Doorbell {
+            bell,
+            sleepers,
+            spinners: None,
+        }
+    }
+
+    /// A doorbell whose owner announces inline drainers in `spinners`
+    /// (see the module docs).
+    pub fn with_spinners(
+        bell: &'a AtomicU32,
+        sleepers: &'a AtomicU32,
+        spinners: &'a AtomicU32,
+    ) -> Self {
+        Doorbell {
+            bell,
+            sleepers,
+            spinners: Some(spinners),
+        }
+    }
+
+    /// The owner: one of its threads starts draining inline; rings skip
+    /// the wake until it leaves.
+    pub fn enter_spin(&self) {
+        if let Some(spinners) = self.spinners {
+            spinners.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// The owner: the spinning thread stops draining. The caller must
+    /// then re-check for work and [`Doorbell::ring`] if any is left: a
+    /// notifier may have skipped its wake on this spinner's account.
+    pub fn leave_spin(&self) {
+        if let Some(spinners) = self.spinners {
+            spinners.fetch_sub(1, Ordering::SeqCst);
+            // Pairs with the fence in `ring`: either the notifier sees
+            // this decrement and wakes, or the caller's re-check sees
+            // the notifier's work.
+            fence(Ordering::SeqCst);
+        }
     }
 
     /// Snapshot the bell. Drain once more after taking this and pass it
@@ -41,9 +91,18 @@ impl<'a> Doorbell<'a> {
 
     /// Ring the bell: make pending work visible, then wake sleepers —
     /// skipping the `futex_wake` syscall entirely when nobody is
-    /// parked (the common, spinning-receiver case).
+    /// parked or an owner thread is spinning on the work.
     pub fn ring(&self) -> io::Result<()> {
         self.bell.fetch_add(1, Ordering::AcqRel);
+        if let Some(spinners) = self.spinners {
+            // Pairs with the fence in `leave_spin` (module docs).
+            fence(Ordering::SeqCst);
+            // ORDERING: the SeqCst fences above and in `leave_spin`
+            // order this load against the spinner's decrement.
+            if spinners.load(Ordering::Relaxed) > 0 {
+                return Ok(());
+            }
+        }
         if self.sleepers.load(Ordering::Acquire) > 0 {
             sys::futex_wake(self.bell, u32::MAX)?;
         }

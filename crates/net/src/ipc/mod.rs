@@ -12,8 +12,8 @@
 //!   rank can validate it mapped the same segment with the same
 //!   parameters before touching a byte of it;
 //! * **rank blocks** — one 128-byte block per rank holding its
-//!   heartbeat word, attach flag and inbound doorbell
-//!   (see [`doorbell`]);
+//!   heartbeat word, attach flag and inbound doorbell with its
+//!   spinners word (see [`doorbell`]);
 //! * **channels** — one region per *directed* rank pair `src → dst`
 //!   holding a lock-free SPSC descriptor ring, a FIFO payload slab for
 //!   frames too large to inline, and a partition arena that receivers
@@ -32,6 +32,7 @@
 //! syscalls per message (doorbell futexes fire only when a peer is
 //! actually asleep).
 
+pub mod claim;
 pub mod doorbell;
 pub mod ring;
 pub mod slab;
@@ -214,9 +215,14 @@ impl Segment {
         self.rank_word_u32(rank, 8)
     }
 
-    /// A rank's inbound doorbell (covers all channels targeting it).
+    /// A rank's inbound doorbell (covers all channels targeting it),
+    /// with the rank's spinners word.
     pub fn doorbell(&self, rank: usize) -> doorbell::Doorbell<'_> {
-        doorbell::Doorbell::new(self.rank_word_u32(rank, 12), self.rank_word_u32(rank, 16))
+        doorbell::Doorbell::with_spinners(
+            self.rank_word_u32(rank, 12),
+            self.rank_word_u32(rank, 16),
+            self.rank_word_u32(rank, 20),
+        )
     }
 
     /// The directed channel `src → dst`.

@@ -51,6 +51,16 @@ pub const K_PART_CTS: u16 = 5;
 /// byte offset of the chunk inside the message, `parts` = 1 on the
 /// final chunk. Bytes in the FIFO slab at cursor `c`.
 pub const K_RDV: u16 = 6;
+/// Slot kind: cooperative-copy publish — `a` = rdv id, `b` = arena
+/// offset (in the channel back to the sender) of the sender's source
+/// grant, `c` = message index. The message's claim word heads the
+/// grant ([`super::claim`]); whichever side claims it copies. No
+/// payload.
+pub const K_PART_READY: u16 = 7;
+/// Slot kind: the receiver's cooperative copy landed — `a` = rdv id,
+/// `b` = byte offset, `c` = length of the message it copied. No
+/// payload.
+pub const K_PART_DONE: u16 = 8;
 
 /// The descriptor fields of one slot (everything but the payload).
 /// Field meaning is kind-specific; see the `K_*` docs.
@@ -323,6 +333,22 @@ impl Channel {
         self.tail().store(tail.wrapping_add(1), Ordering::Release);
         self.space_doorbell().ring()?;
         Ok(true)
+    }
+
+    /// Producer: the head cursor, a mark for [`Self::consumed_through`].
+    pub fn pushed(&self) -> u32 {
+        // ORDERING: head is producer-owned; this side wrote it last.
+        self.head().load(Ordering::Relaxed)
+    }
+
+    /// Producer: whether the consumer has popped every record published
+    /// before `mark` was taken (its handler ran before the pop retired
+    /// the slot).
+    pub fn consumed_through(&self, mark: u32) -> bool {
+        // Acquire pairs with the consumer's Release of the tail, so the
+        // handlers of the popped records happened-before this returns.
+        let tail = self.tail().load(Ordering::Acquire);
+        mark.wrapping_sub(tail) as i32 <= 0
     }
 
     /// Consumer: whether anything is waiting (no side effects).

@@ -45,7 +45,12 @@
 //! there is no reconnect (so the epoch never advances and the
 //! one-CTS-per-epoch rule degenerates to one CTS per stream). Zero-copy
 //! arena commits emit `VerifyStreamData`/`Commit` like any other range,
-//! so the ledger invariants apply unchanged.
+//! so the ledger invariants apply unchanged. Its cooperative copy adds
+//! two payload-less records, `PartReady` (the sender published a
+//! message) and `PartDone` (the receiver claimed and copied it): the
+//! FSM matches them like any frame, and additionally requires every
+//! `PartDone` a receiver sends to follow a `PartReady` it received from
+//! that sender — a receiver can only copy what was published.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -83,6 +88,9 @@ pub enum AuditKind {
     CommitUncovered,
     /// `MessageLost` was raised for a stream whose ledger is complete.
     PrematureLost,
+    /// A receiver acknowledged more cooperative copies (`PartDone`)
+    /// than the sender had published to it (`PartReady`).
+    DoneWithoutReady,
 }
 
 impl fmt::Display for AuditKind {
@@ -100,6 +108,7 @@ impl fmt::Display for AuditKind {
             AuditKind::CommitBeyondStream => "commit-beyond-stream",
             AuditKind::CommitUncovered => "commit-uncovered",
             AuditKind::PrematureLost => "premature-lost",
+            AuditKind::DoneWithoutReady => "done-without-ready",
         };
         f.write_str(s)
     }
@@ -155,6 +164,9 @@ pub struct AuditStats {
     /// Stream bytes received more than once (failover replay the
     /// ledger absorbed idempotently).
     pub replayed_bytes: u64,
+    /// Messages receivers copied cooperatively (`PartDone` records
+    /// sent; ipc only).
+    pub coop_copies: usize,
     /// Per-rank clock offsets (ns, relative to the lowest rank) derived
     /// from matched wire pairs.
     pub clock_offsets_ns: Vec<(u16, i64)>,
@@ -601,6 +613,48 @@ pub fn audit(ranks: &[RankEvents]) -> AuditReport {
             }
         }
         stats.unmatched_sends += tx.len().saturating_sub(rx.len());
+    }
+
+    // ---- Pass 1b: cooperative copies follow their publish ----
+    // In the receiver's own ring order, the k-th PartDone it sends to a
+    // sender must come after the k-th PartReady it received from it.
+    for (&(receiver, sender, lane, epoch), tx) in &sends {
+        let done: Vec<usize> = tx
+            .iter()
+            .filter(|w| w.op == op::PART_DONE as u16)
+            .map(|w| w.seq)
+            .collect();
+        stats.coop_copies += done.len();
+        if done.is_empty() || overflowed(receiver) {
+            continue;
+        }
+        let mut ready: Vec<usize> = recvs
+            .get(&(sender, receiver, lane, epoch))
+            .map(|v| {
+                v.iter()
+                    .filter(|w| w.op == op::PART_READY as u16)
+                    .map(|w| w.seq)
+                    .collect()
+            })
+            .unwrap_or_default();
+        ready.sort_unstable();
+        for (k, &seq) in done.iter().enumerate() {
+            if ready.get(k).is_none_or(|&r| r > seq) {
+                findings.push(AuditFinding {
+                    kind: AuditKind::DoneWithoutReady,
+                    rank: receiver,
+                    seq,
+                    peer: sender,
+                    stream: None,
+                    detail: format!(
+                        "PartDone #{k} on lane {lane} epoch {epoch} acknowledges a copy, but \
+                         only {} PartReady had arrived from the sender",
+                        ready.iter().filter(|&&r| r < seq).count()
+                    ),
+                });
+                break;
+            }
+        }
     }
 
     // ---- Pass 2: stream ledger soundness ----
