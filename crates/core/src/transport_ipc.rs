@@ -2108,27 +2108,25 @@ impl Transport for IpcTransport {
         // skip waking that thread (the doorbell's spinners word). Past
         // the window, park — the doorbell wakes the progress thread,
         // which completes us.
-        let bell = self.segment.doorbell(self.rank);
-        bell.enter_spin();
         let spin_until = Instant::now() + SPIN_WINDOW;
-        let done = loop {
-            if completion.is_set() {
-                break true;
-            }
-            if !self.progress_pass(fabric) {
-                if Instant::now() >= spin_until {
-                    break false;
+        let done = self.segment.doorbell(self.rank).spin(
+            || loop {
+                if completion.is_set() {
+                    break true;
                 }
-                std::thread::yield_now();
-            }
-        };
-        bell.leave_spin();
-        // A record pushed while this thread spun may have skipped its
-        // wake: take it now, and wake the progress thread for anything
-        // that arrives meanwhile.
-        if self.inbound_pending() && (!self.progress_pass(fabric) || self.inbound_pending()) {
-            let _ = bell.ring();
-        }
+                if !self.progress_pass(fabric) {
+                    if Instant::now() >= spin_until {
+                        break false;
+                    }
+                    std::thread::yield_now();
+                }
+            },
+            // A record pushed while this thread spun may have skipped
+            // its wake: take it now, and wake the progress thread for
+            // anything that arrives meanwhile.
+            || self.inbound_pending(),
+            || self.progress_pass(fabric),
+        );
         done || completion.wait_timeout(WAIT_SLICE)
     }
 
@@ -2164,8 +2162,10 @@ impl Transport for IpcTransport {
         if !(unsafe { peer.inb_ch.arena_ptr(0) } as usize).is_multiple_of(8) {
             return None; // claim words need 8-aligned memory
         }
-        let off = peer.arena.lock().alloc(total)?;
-        // SAFETY: `alloc` returned `off..off+total` inside the arena,
+        // Receive buffers come first: a source takes arena room only
+        // while a receive buffer as large as itself would still fit.
+        let off = peer.arena.lock().alloc_keeping(total, len as u64)?;
+        // SAFETY: `alloc_keeping` returned `off..off+total` inside the arena,
         // owned by this rank until `release_part_src`; the peer reads it
         // only through published claims.
         unsafe {

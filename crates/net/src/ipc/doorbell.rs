@@ -20,26 +20,69 @@
 //! number of the rank's threads draining inline right now. While it is
 //! nonzero a ring skips the wake — a spinner will pop the work, so
 //! waking the parked progress thread would only cost the notifier a
-//! syscall and the receiver a context switch. Each spinner leaves with
-//! [`Doorbell::leave_spin`] and then re-checks for work; the
-//! `SeqCst` fences on both sides (Dekker-style) guarantee that a
+//! syscall and the receiver a context switch. [`Doorbell::spin`] wraps
+//! a spinner: it enters, drains, leaves and then re-checks for work;
+//! the `SeqCst` fences on both sides (Dekker-style) guarantee that a
 //! record published without a wake is seen by that re-check.
+//!
+//! The protocol is generic over [`BellWord`] so the interleaving
+//! explorer in the root `tests/doorbell_spin.rs` can run this exact
+//! code against scheduler-controlled words; the runtime uses
+//! [`AtomicU32`] and the futex.
 
 use crate::sys;
 use std::io;
 use std::sync::atomic::{fence, AtomicU32, Ordering};
 
-/// A bell/sleepers word pair somewhere in the shared segment, plus the
-/// owner's spinners word for inbound doorbells.
-pub struct Doorbell<'a> {
-    bell: &'a AtomicU32,
-    sleepers: &'a AtomicU32,
-    spinners: Option<&'a AtomicU32>,
+/// The operations a doorbell performs on one of its words, one
+/// indivisible step each.
+pub trait BellWord {
+    /// Read the word.
+    fn load(&self, order: Ordering) -> u32;
+    /// Add `v`, returning the previous value.
+    fn fetch_add(&self, v: u32, order: Ordering) -> u32;
+    /// Subtract `v`, returning the previous value.
+    fn fetch_sub(&self, v: u32, order: Ordering) -> u32;
+    /// `FUTEX_WAIT`: park while the word reads `expect`, for at most
+    /// `timeout_ns`; `Ok(true)` if woken or the word had moved.
+    fn futex_wait(&self, expect: u32, timeout_ns: u64) -> io::Result<bool>;
+    /// `FUTEX_WAKE` every waiter parked on the word.
+    fn futex_wake_all(&self) -> io::Result<()>;
 }
 
-impl<'a> Doorbell<'a> {
+impl BellWord for AtomicU32 {
+    fn load(&self, order: Ordering) -> u32 {
+        AtomicU32::load(self, order)
+    }
+
+    fn fetch_add(&self, v: u32, order: Ordering) -> u32 {
+        AtomicU32::fetch_add(self, v, order)
+    }
+
+    fn fetch_sub(&self, v: u32, order: Ordering) -> u32 {
+        AtomicU32::fetch_sub(self, v, order)
+    }
+
+    fn futex_wait(&self, expect: u32, timeout_ns: u64) -> io::Result<bool> {
+        sys::futex_wait(self, expect, timeout_ns)
+    }
+
+    fn futex_wake_all(&self) -> io::Result<()> {
+        sys::futex_wake(self, u32::MAX).map(|_| ())
+    }
+}
+
+/// A bell/sleepers word pair somewhere in the shared segment, plus the
+/// owner's spinners word for inbound doorbells.
+pub struct Doorbell<'a, W: BellWord = AtomicU32> {
+    bell: &'a W,
+    sleepers: &'a W,
+    spinners: Option<&'a W>,
+}
+
+impl<'a, W: BellWord> Doorbell<'a, W> {
     /// Wrap a bell/sleepers pair (segment layout picks the words).
-    pub fn new(bell: &'a AtomicU32, sleepers: &'a AtomicU32) -> Self {
+    pub fn new(bell: &'a W, sleepers: &'a W) -> Self {
         Doorbell {
             bell,
             sleepers,
@@ -49,11 +92,7 @@ impl<'a> Doorbell<'a> {
 
     /// A doorbell whose owner announces inline drainers in `spinners`
     /// (see the module docs).
-    pub fn with_spinners(
-        bell: &'a AtomicU32,
-        sleepers: &'a AtomicU32,
-        spinners: &'a AtomicU32,
-    ) -> Self {
+    pub fn with_spinners(bell: &'a W, sleepers: &'a W, spinners: &'a W) -> Self {
         Doorbell {
             bell,
             sleepers,
@@ -63,16 +102,15 @@ impl<'a> Doorbell<'a> {
 
     /// The owner: one of its threads starts draining inline; rings skip
     /// the wake until it leaves.
-    pub fn enter_spin(&self) {
+    fn enter_spin(&self) {
         if let Some(spinners) = self.spinners {
             spinners.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    /// The owner: the spinning thread stops draining. The caller must
-    /// then re-check for work and [`Doorbell::ring`] if any is left: a
-    /// notifier may have skipped its wake on this spinner's account.
-    pub fn leave_spin(&self) {
+    /// The owner: the spinning thread stops draining. Callers use
+    /// [`Doorbell::spin`], which re-checks for work afterwards.
+    fn leave_spin(&self) {
         if let Some(spinners) = self.spinners {
             spinners.fetch_sub(1, Ordering::SeqCst);
             // Pairs with the fence in `ring`: either the notifier sees
@@ -80,6 +118,28 @@ impl<'a> Doorbell<'a> {
             // the notifier's work.
             fence(Ordering::SeqCst);
         }
+    }
+
+    /// The owner drains inline: run `body` as a spinner (rings skip the
+    /// wake meanwhile), then leave and re-check. A record a notifier
+    /// pushed without waking, on this spinner's account, is `pending`
+    /// now: `drain` takes it, and if that made no progress or work is
+    /// still left the bell is rung so the parked drainer takes it.
+    pub fn spin<R>(
+        &self,
+        body: impl FnOnce() -> R,
+        pending: impl Fn() -> bool,
+        drain: impl FnOnce() -> bool,
+    ) -> R {
+        self.enter_spin();
+        let out = body();
+        self.leave_spin();
+        if pending() && (!drain() || pending()) {
+            // A failed wake is covered by the parked side's own
+            // timeout slice.
+            let _ = self.ring();
+        }
+        out
     }
 
     /// Snapshot the bell. Drain once more after taking this and pass it
@@ -104,7 +164,7 @@ impl<'a> Doorbell<'a> {
             }
         }
         if self.sleepers.load(Ordering::Acquire) > 0 {
-            sys::futex_wake(self.bell, u32::MAX)?;
+            self.bell.futex_wake_all()?;
         }
         Ok(())
     }
@@ -114,7 +174,7 @@ impl<'a> Doorbell<'a> {
     /// callers re-drain in a loop either way.
     pub fn wait(&self, seen: u32, timeout_ns: u64) -> io::Result<bool> {
         self.sleepers.fetch_add(1, Ordering::AcqRel);
-        let woken = sys::futex_wait(self.bell, seen, timeout_ns);
+        let woken = self.bell.futex_wait(seen, timeout_ns);
         self.sleepers.fetch_sub(1, Ordering::AcqRel);
         woken
     }

@@ -90,8 +90,48 @@ impl ArenaAlloc {
         Some(off)
     }
 
-    /// Return the range handed out for (`off`, `len`) by [`Self::alloc`],
-    /// coalescing with neighbours.
+    /// Carve `len` bytes from the high end of the arena, but only if an
+    /// extent for `keep` more bytes stays free. [`Self::alloc`] fits
+    /// from the low end, so ranges carved here never split the room
+    /// left for it.
+    pub fn alloc_keeping(&mut self, len: u64, keep: u64) -> Option<u64> {
+        if len == 0 || len > self.capacity {
+            return None;
+        }
+        let need = (len + ARENA_ALIGN - 1) & !(ARENA_ALIGN - 1);
+        let keep = (keep + ARENA_ALIGN - 1) & !(ARENA_ALIGN - 1);
+        // The highest aligned `need` bytes inside one free extent.
+        let (i, start) = self
+            .free
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(i, &(off, flen))| {
+                let start = (off + flen).checked_sub(need)? & !(ARENA_ALIGN - 1);
+                (start >= off).then_some((i, start))
+            })?;
+        let (off, flen) = self.free[i];
+        let below = start - off;
+        let elsewhere = self
+            .free
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .map(|(_, &(_, l))| l)
+            .max()
+            .unwrap_or(0);
+        if below.max(elsewhere) < keep {
+            return None;
+        }
+        let above = off + flen - (start + need);
+        let rest = [(off, below), (start + need, above)];
+        self.free
+            .splice(i..=i, rest.into_iter().filter(|&(_, l)| l > 0));
+        Some(start)
+    }
+
+    /// Return the range handed out for (`off`, `len`) by [`Self::alloc`]
+    /// or [`Self::alloc_keeping`], coalescing with neighbours.
     pub fn release(&mut self, off: u64, len: u64) {
         let need = (len + ARENA_ALIGN - 1) & !(ARENA_ALIGN - 1);
         debug_assert!(off + need <= self.capacity);
@@ -145,5 +185,28 @@ mod tests {
         a.release(z, 100);
         // Fully coalesced: a max-size alloc fits again.
         assert_eq!(a.alloc(1024), Some(0));
+    }
+
+    #[test]
+    fn alloc_keeping_carves_from_the_top_and_leaves_room() {
+        // An odd capacity: the carve stays 64-aligned below the end.
+        let mut a = ArenaAlloc::new(1000);
+        let hi = a.alloc_keeping(100, 300).unwrap();
+        assert_eq!(hi, 832);
+        // The low end is still one extent for first fit.
+        assert_eq!(a.alloc(800), Some(0));
+        a.release(0, 800);
+        // 832 bytes remain below: a 500-byte carve would leave less
+        // than the 500 it must keep.
+        assert_eq!(a.alloc_keeping(500, 500), None);
+        assert_eq!(a.alloc_keeping(300, 300), Some(512));
+        // No keep: take whatever fits.
+        assert_eq!(a.alloc_keeping(512, 0), Some(0));
+        assert_eq!(a.alloc_keeping(64, 0), None);
+        a.release(hi, 100);
+        a.release(512, 300);
+        a.release(0, 512);
+        // Fully coalesced, the odd tail included.
+        assert_eq!(a.free, vec![(0, 1000)]);
     }
 }

@@ -18,14 +18,16 @@
 //! * no completion is lost: every schedule ends with both sides
 //!   finished, never with both blocked.
 //!
-//! Each actor is a real thread; a controller hands a single baton to
-//! one parked actor at a time, so a schedule is exactly the sequence of
-//! baton grants and the search is exhaustive and deterministic.
+//! The explorer itself (one thread per actor, a single baton) is
+//! `tests/explore`.
+
+mod explore;
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
 
 use pcomm::net::ipc::claim::{self, ClaimCell};
+
+type Sched = explore::Sched<World>;
 
 /// Iterations (epochs 1..=EPOCHS) of the one message.
 const EPOCHS: u64 = 2;
@@ -54,55 +56,17 @@ struct World {
     violations: Vec<String>,
 }
 
-/// Why an actor is parked: `Some(pred)` waits for the world to satisfy
-/// `pred` before its step may run.
-type Enabled = Box<dyn Fn(&World) -> bool + Send>;
+impl explore::World for World {
+    fn violations(&mut self) -> &mut Vec<String> {
+        &mut self.violations
+    }
 
-struct Sched {
-    state: Mutex<State>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct State {
-    world: World,
-    /// Per actor: parked at a step (with its enabling predicate).
-    parked: Vec<Option<Enabled>>,
-    finished: Vec<bool>,
-    /// The actor holding the baton.
-    grant: Option<usize>,
-}
-
-impl Sched {
-    /// One scheduling point of actor `me`: park until granted while
-    /// `enabled` holds, then apply `act` to the world.
-    fn step<R>(
-        &self,
-        me: usize,
-        enabled: impl Fn(&World) -> bool + Send + 'static,
-        act: impl FnOnce(&mut World) -> R,
-    ) -> R {
-        let mut st = self.state.lock().unwrap();
-        st.parked[me] = Some(Box::new(enabled));
-        self.cv.notify_all();
-        while st.grant != Some(me) {
-            st = self.cv.wait(st).unwrap();
+    fn check_end(&self, out: &mut Vec<String>) {
+        for e in 1..=EPOCHS as usize {
+            if self.copies[e] != 1 {
+                out.push(format!("epoch {e} copied {} times", self.copies[e]));
+            }
         }
-        st.grant = None;
-        st.parked[me] = None;
-        act(&mut st.world)
-    }
-
-    /// Bookkeeping by the baton holder that no other actor can observe
-    /// mid-way: applied without a scheduling point.
-    fn note(&self, f: impl FnOnce(&mut World)) {
-        f(&mut self.state.lock().unwrap().world);
-    }
-
-    fn finish(&self, me: usize) {
-        let mut st = self.state.lock().unwrap();
-        st.finished[me] = true;
-        self.cv.notify_all();
     }
 }
 
@@ -140,7 +104,6 @@ impl ClaimCell for Cell<'_> {
 const SENDER: usize = 0;
 const RECEIVER: usize = 1;
 const PROGRESS: usize = 2;
-const ACTORS: usize = 3;
 
 /// The sender: per epoch, wait for the CTS, publish, push READY, then
 /// in `wait` claim and copy or wait for the receiver's DONE.
@@ -246,121 +209,9 @@ fn progress(s: &Sched) {
     }
 }
 
-/// Outcome of one schedule.
-struct Run {
-    /// Number of enabled actors at each decision point.
-    options: Vec<usize>,
-    violations: Vec<String>,
-}
-
-/// Replay one schedule: at decision `d`, grant the `choice[d]`-th
-/// enabled actor (0 past the end of `choice`).
-fn run_schedule(choice: &[usize]) -> Run {
-    let sched = Arc::new(Sched {
-        state: Mutex::new(State {
-            parked: (0..ACTORS).map(|_| None).collect(),
-            finished: vec![false; ACTORS],
-            ..State::default()
-        }),
-        cv: Condvar::new(),
-    });
-    let actors: [fn(&Sched); ACTORS] = [sender, receiver, progress];
-    let handles: Vec<_> = actors
-        .iter()
-        .enumerate()
-        .map(|(me, body)| {
-            let s = Arc::clone(&sched);
-            let body = *body;
-            std::thread::spawn(move || {
-                body(&s);
-                s.finish(me);
-            })
-        })
-        .collect();
-    let mut options = Vec::new();
-    let mut st = sched.state.lock().unwrap();
-    loop {
-        // Wait until every live actor is parked at its next step.
-        while st.grant.is_some() || (0..ACTORS).any(|a| !st.finished[a] && st.parked[a].is_none()) {
-            st = sched.cv.wait(st).unwrap();
-        }
-        if st.finished.iter().all(|&f| f) {
-            break;
-        }
-        let enabled: Vec<usize> = (0..ACTORS)
-            .filter(|&a| st.parked[a].as_ref().is_some_and(|p| p(&st.world)))
-            .collect();
-        if enabled.is_empty() {
-            st.world
-                .violations
-                .push("lost completion: every live actor blocked".into());
-            break;
-        }
-        let pick = choice.get(options.len()).copied().unwrap_or(0);
-        options.push(enabled.len());
-        st.grant = Some(enabled[pick]);
-        sched.cv.notify_all();
-    }
-    let deadlocked = !st.finished.iter().all(|&f| f);
-    let mut violations = std::mem::take(&mut st.world.violations);
-    for e in 1..=EPOCHS as usize {
-        if !deadlocked && st.world.copies[e] != 1 {
-            violations.push(format!("epoch {e} copied {} times", st.world.copies[e]));
-        }
-    }
-    drop(st);
-    if deadlocked {
-        // Blocked actors never finish; leave them parked (the process
-        // exits at the end of the test run) — the schedule is already
-        // a failure.
-        std::mem::forget(handles);
-    } else {
-        for h in handles {
-            h.join().expect("actor panicked");
-        }
-    }
-    Run {
-        options,
-        violations,
-    }
-}
-
-/// A failing schedule (its decisions) and what it violated.
-type Failure = (Vec<usize>, Vec<String>);
-
-/// Depth-first enumeration of every schedule; returns how many ran and
-/// the first failing one, if any.
-fn explore() -> (usize, Option<Failure>) {
-    let mut choice: Vec<usize> = Vec::new();
-    let mut runs = 0;
-    loop {
-        let run = run_schedule(&choice);
-        runs += 1;
-        if !run.violations.is_empty() {
-            return (runs, Some((choice, run.violations)));
-        }
-        // Next schedule: bump the deepest decision with an untried
-        // alternative, drop everything after it.
-        let mut full: Vec<usize> = (0..run.options.len())
-            .map(|d| choice.get(d).copied().unwrap_or(0))
-            .collect();
-        loop {
-            let Some(last) = full.pop() else {
-                return (runs, None);
-            };
-            let d = full.len();
-            if last + 1 < run.options[d] {
-                full.push(last + 1);
-                break;
-            }
-        }
-        choice = full;
-    }
-}
-
 #[test]
 fn every_interleaving_copies_once_and_never_reuses_a_live_word() {
-    let (runs, failure) = explore();
+    let (runs, failure) = explore::explore::<World>(&[sender, receiver, progress]);
     if let Some((schedule, violations)) = failure {
         panic!("schedule {schedule:?} (after {runs} runs) violates the protocol: {violations:?}");
     }

@@ -238,6 +238,39 @@ fn ipc_coop_dropped_psend_child() {
     report(&env, out);
 }
 
+/// Both ranks send and receive at once, posting the send first as
+/// `halo_exchange` does. Each rank reports its psend's per-iteration
+/// copies, then its precv's.
+#[test]
+fn ipc_coop_two_way_child() {
+    let Some(env) = MultiprocEnv::from_env() else {
+        return;
+    };
+    let (n, pb, iters) = (8, 16 * 1024, 100);
+    let out = Universe::new(2).with_watchdog_ms(WATCHDOG_MS).run(|comm| {
+        let (me, peer) = (comm.rank(), 1 - comm.rank());
+        let ps = comm.psend_init(peer, TAG, n, pb, PartOptions::default());
+        let pr = comm.precv_init(peer, TAG, n, pb, PartOptions::default());
+        let (mut sent, mut landed) = (Vec::new(), Vec::new());
+        for it in 0..iters {
+            let (s0, r0) = (ps.copies(), pr.copies());
+            pr.start();
+            ps.start();
+            fill(&ps, 2 * it + me, n, pb);
+            ready_all(&ps, n);
+            ps.wait();
+            pr.wait();
+            check(&pr, 2 * it + peer, n, pb);
+            sent.push(ps.copies() - s0);
+            landed.push(pr.copies() - r0);
+            comm.barrier();
+        }
+        sent.extend(landed);
+        sent
+    });
+    report(&env, out);
+}
+
 /// Spawn both ranks of `child` over the ipc fabric with `extra` env and
 /// a hard deadline; returns each rank's exit status and output file.
 fn run_pair(child_test: &str, extra: &[(&str, &str)]) -> Vec<(i32, String, String)> {
@@ -302,12 +335,14 @@ fn copy_counts(child: &str, extra: &[(&str, &str)]) -> (Vec<u64>, Vec<u64>) {
             "{child} rank {rank} failed\n--- stderr ---\n{stderr}"
         );
     }
-    let parse = |s: &str| -> Vec<u64> {
-        s.split_whitespace()
-            .map(|x| x.parse().expect("copy count"))
-            .collect()
-    };
-    (parse(&outs[0].1), parse(&outs[SENDER].1))
+    (parse_counts(&outs[0].1), parse_counts(&outs[SENDER].1))
+}
+
+/// A child's reported copy counts.
+fn parse_counts(s: &str) -> Vec<u64> {
+    s.split_whitespace()
+        .map(|x| x.parse().expect("copy count"))
+        .collect()
 }
 
 /// Every iteration's message was copied exactly once, by one side.
@@ -405,6 +440,49 @@ fn dropped_psend_returns_its_source_grant() {
         recv.iter().all(|&r| r == 4),
         "a round fell back to copying in pready: {recv:?}"
     );
+}
+
+#[test]
+fn receive_grant_without_a_source_grant_copies_in_pready() {
+    if !ipc_supported() {
+        return;
+    }
+    // The arena holds the 128 KiB receive buffer exactly, so the source
+    // stays on the heap: every `pready` copies its message straight into
+    // the receiver's arena grant, both orders, bit-exact.
+    let arena = (8 * 16 * 1024).to_string();
+    let (recv, send) = copy_counts("ipc_coop_orders_child", &[("PCOMM_NET_IPC_ARENA", &arena)]);
+    assert_exactly_once(&recv, &send, 120, 8);
+    assert!(
+        send.iter().all(|&s| s == 8),
+        "the sender must copy every message: {send:?}"
+    );
+}
+
+#[test]
+fn two_way_buffers_above_half_the_arena_keep_their_receive_grants() {
+    if !ipc_supported() {
+        return;
+    }
+    // Each rank's inbound arena from its peer would hold its receive
+    // buffer and its send buffer to that peer, but 1.5 buffers fit. The
+    // receive buffer goes first even though `psend_init` runs first: the
+    // source stays on the heap and the sender copies every message into
+    // the receiver's grant. Had the source taken the arena, the receive
+    // buffer would have fallen back to the slab and the receiver would
+    // copy.
+    let arena = (3 * 8 * 16 * 1024 / 2).to_string();
+    let outs = run_pair("ipc_coop_two_way_child", &[("PCOMM_NET_IPC_ARENA", &arena)]);
+    for (rank, (code, out, stderr)) in outs.iter().enumerate() {
+        assert_eq!(*code, 0, "rank {rank} failed\n--- stderr ---\n{stderr}");
+        let counts = parse_counts(out);
+        let (sent, landed) = counts.split_at(counts.len() / 2);
+        assert_eq!(sent.len(), 100, "rank {rank} iterations");
+        assert!(
+            sent.iter().all(|&s| s == 8) && landed.iter().all(|&r| r == 0),
+            "rank {rank}: psend copies {sent:?}, precv copies {landed:?}"
+        );
+    }
 }
 
 /// Child: a certain drop on the first published message. Both ranks
