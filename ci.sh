@@ -264,9 +264,10 @@ done
 
 echo "== safety lint (SAFETY / ORDERING / PANIC justification comments) =="
 # Every `unsafe` site repo-wide needs a `// SAFETY:` justification; on
-# the wire hot path (crates/core/src/transport.rs + crates/net/) every
-# Relaxed atomic needs `// ORDERING:` and every unwrap/expect needs
-# `// PANIC:`. See crates/bench/src/bin/safety_lint.rs.
+# the wire hot path (crates/core/src/transport*.rs, the wire session
+# crates/core/src/session.rs, and crates/net/) every Relaxed atomic
+# needs `// ORDERING:` and every unwrap/expect needs `// PANIC:`. See
+# crates/bench/src/bin/safety_lint.rs.
 cargo run --release -p pcomm-bench --bin safety_lint --offline
 
 echo "CI OK"

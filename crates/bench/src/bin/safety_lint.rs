@@ -8,8 +8,9 @@
 //! contract). Run from the repo root (`ci.sh` does); exits non-zero
 //! listing every unjustified site.
 //!
-//! The transport hot path gets two extra marker rules, scoped to
-//! `crates/core/src/transport.rs` and `crates/net/` (non-test code):
+//! The transport hot path gets extra marker rules, scoped to every
+//! `crates/core/src/transport*.rs`, the wire session
+//! `crates/core/src/session.rs`, and `crates/net/` (non-test code):
 //!
 //! * every `Ordering::Relaxed` load/store needs an adjacent
 //!   `// ORDERING:` comment saying why relaxed is enough — these are
@@ -130,15 +131,19 @@ const MARKER_RULES: &[MarkerRule] = &[
 ];
 
 /// Do the extra marker rules apply to this file? The scope is the wire
-/// transport and everything under `crates/net/` — the code where a
-/// silent ordering bug or a progress-engine panic is most expensive.
+/// transports, their shared session, and everything under `crates/net/`
+/// — the code where a silent ordering bug or a progress-engine panic is
+/// most expensive.
 fn marker_scoped(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
     // Integration tests get the same dispensation as `#[cfg(test)]`.
     if p.contains("/tests/") {
         return false;
     }
-    p.ends_with("crates/core/src/transport.rs") || p.contains("crates/net/")
+    let file = p.rsplit('/').next().unwrap_or_default();
+    let core_src = p.contains("crates/core/src/");
+    (core_src && (file.starts_with("transport") || file == "session.rs"))
+        || p.contains("crates/net/")
 }
 
 fn scan_file(path: &Path, offenders: &mut Vec<String>) -> usize {

@@ -518,7 +518,7 @@ impl Fabric {
         self.barrier_cv.notify_all();
         self.win_cv.notify_all();
         if first && broadcast && self.multiproc {
-            self.transport.broadcast_abort(&err);
+            self.transport.broadcast_abort(self, &err);
         }
     }
 
@@ -926,7 +926,7 @@ impl Fabric {
         if self.is_local(dst) {
             self.deliver(dst, shard, ctx, src_rank, tag, Payload::Eager(buf));
         } else {
-            self.transport.ship_eager(dst, shard, ctx, tag, &buf);
+            self.transport.ship_eager(self, dst, shard, ctx, tag, &buf);
             self.pool.release(src_rank, buf);
             self.touch();
         }
@@ -1136,6 +1136,7 @@ impl Fabric {
             // `done` (same pin-until-done contract as the in-process
             // pointer handoff).
             self.transport.ship_rts(
+                self,
                 dst,
                 shard,
                 ctx,
@@ -1174,7 +1175,7 @@ impl Fabric {
         ctx: u64,
         send: crate::transport::PartStreamSend,
     ) -> u64 {
-        let id = self.transport.part_stream_begin(dst, ctx, send);
+        let id = self.transport.part_stream_begin(self, dst, ctx, send);
         self.touch();
         id
     }
@@ -1378,7 +1379,7 @@ impl Fabric {
                 // completion (and the verify event) happens in
                 // `complete_remote_rdv` when the bytes land.
                 self.transport
-                    .accept_remote_rdv(src, rdv_id, posted, shard, tag, rts_ns);
+                    .accept_remote_rdv(self, src, rdv_id, posted, shard, tag, rts_ns);
                 return;
             }
             Payload::Eager(v) => {
@@ -1614,7 +1615,7 @@ impl Fabric {
 
     /// One-sided put targeting a remote-hosted rank (multiprocess runs).
     pub(crate) fn remote_put(&self, target: usize, win_ctx: u64, offset: usize, data: &[u8]) {
-        self.transport.put(target, win_ctx, offset, data);
+        self.transport.put(self, target, win_ctx, offset, data);
         self.touch();
     }
 
@@ -1632,7 +1633,7 @@ impl Fabric {
 
     /// Announce a locally registered window to its remote origin.
     pub(crate) fn remote_announce_win(&self, origin: usize, win_ctx: u64, len: usize) {
-        self.transport.announce_win(origin, win_ctx, len);
+        self.transport.announce_win(self, origin, win_ctx, len);
         self.touch();
     }
 

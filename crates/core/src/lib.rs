@@ -65,6 +65,7 @@ pub mod hotpath;
 pub mod p2p;
 pub mod part;
 pub mod rma;
+mod session;
 pub mod strategies;
 pub mod sync;
 mod transport;

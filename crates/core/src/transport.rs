@@ -5,8 +5,8 @@
 //! actually called (every rank is local, so the fabric delivers straight
 //! into the destination's match queues — the hot path pays exactly one
 //! cached-bool branch for the seam's existence). Multiprocess universes
-//! use [`SocketTransport`], the progress engine that carries the same
-//! protocol over Unix-domain or TCP sockets:
+//! use [`SocketTransport`], the byte mover that carries the protocol of
+//! [`crate::session`] over Unix-domain or TCP sockets:
 //!
 //! * **Eager**: the payload is framed and shipped; the receiving
 //!   process's reader thread copies it into a pooled buffer and feeds it
@@ -59,7 +59,7 @@
 //! failing process broadcasts an `Abort` frame, then `shutdown(2)`
 //! unblocks its own readers.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -76,16 +76,8 @@ use pcomm_trace::{EventKind, FaultKind, FaultPlan};
 
 use crate::error::{PcommError, PeerSocketState};
 use crate::fabric::{Fabric, PostedRecv, WAIT_SLICE};
+use crate::session::{Link, PendingRdv, RemoteRecv, Session, StreamRecv, TEARDOWN_SLICE};
 use crate::sync::{Completion, Mutex};
-
-/// Slice for non-unwinding waits in teardown paths (mirrors the
-/// fabric's `WAIT_SLICE`).
-pub(crate) const TEARDOWN_SLICE: Duration = Duration::from_millis(2);
-
-/// Hard deadline on the finalize barrier: every healthy peer reaches it
-/// as soon as its closure returns, so far past this something is wrong
-/// and the run fails instead of hanging.
-pub(crate) const FINALIZE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Most frames a writer puts on the wire with one vectored write. Past
 /// this the batch spans enough bytes that syscall overhead is already
@@ -105,38 +97,100 @@ const QUEUE_HWM_BASE: usize = 64;
 
 /// How a fabric reaches ranks hosted outside this process. All methods
 /// except the introspective ones are called only for remote ranks of a
-/// multiprocess run.
-pub(crate) trait Transport: Send + Sync {
+/// multiprocess run. The protocol itself lives in the backend's
+/// [`Session`]; the default methods run it over the backend's [`Link`]
+/// (statically dispatched: each backend instantiates them for itself).
+pub(crate) trait Transport: Link + Send + Sync {
+    /// The backend's wire session.
+    fn session(&self) -> &Session;
+
     /// The rank this process hosts (multiprocess runs).
-    fn local_rank(&self) -> usize;
+    fn local_rank(&self) -> usize {
+        self.session().rank
+    }
 
     /// Whether ranks live in separate processes.
-    fn is_multiproc(&self) -> bool;
+    fn is_multiproc(&self) -> bool {
+        true
+    }
 
     /// Ship an eager payload to a remote rank.
-    fn ship_eager(&self, dst: usize, shard: usize, ctx: u64, tag: i64, data: &[u8]);
+    fn ship_eager(
+        &self,
+        fabric: &Fabric,
+        dst: usize,
+        shard: usize,
+        ctx: u64,
+        tag: i64,
+        data: &[u8],
+    ) {
+        let (shard, payload) = (shard as u16, data.to_vec());
+        let eager = Frame::Eager {
+            shard,
+            ctx,
+            tag,
+            payload,
+        };
+        self.send(fabric, dst, eager);
+    }
 
     /// Ship a rendezvous RTS for a pinned source buffer; the buffer's
-    /// `done` fires when the CTS comes back and the data has been framed.
-    fn ship_rts(&self, dst: usize, shard: usize, ctx: u64, tag: i64, pinned: PinnedSend);
+    /// `done` fires when the CTS comes back and the data has been moved.
+    fn ship_rts(
+        &self,
+        fabric: &Fabric,
+        dst: usize,
+        shard: usize,
+        ctx: u64,
+        tag: i64,
+        pinned: PinnedSend,
+    ) {
+        let rdv_id = self.session().next_id();
+        let (shard, len) = (shard as u16, pinned.len as u64);
+        let pending = PendingRdv { pinned, dst };
+        self.session().pending_rdv.lock().insert(rdv_id, pending);
+        let rts = Frame::Rts {
+            shard,
+            ctx,
+            tag,
+            len,
+            rdv_id,
+        };
+        self.send(fabric, dst, rts);
+    }
 
     /// Park a matched posted receive until the wire data lands, and
     /// answer the CTS.
     #[allow(clippy::too_many_arguments)] // one per envelope field
     fn accept_remote_rdv(
         &self,
+        fabric: &Fabric,
         src: usize,
         rdv_id: u64,
         posted: PostedRecv,
         shard: usize,
         tag: i64,
         rts_ns: Option<u64>,
-    );
+    ) {
+        let recv = RemoteRecv {
+            posted,
+            shard,
+            tag,
+            rts_ns,
+            received: 0,
+        };
+        self.session()
+            .remote_recvs
+            .lock()
+            .insert((src, rdv_id), recv);
+        self.send(fabric, src, Frame::Cts { rdv_id });
+    }
 
     /// Open a partitioned stream toward `dst`: announce the pinned
     /// source buffer `send` for the pair on `ctx` and return the stream
     /// id that subsequent pushes name.
-    fn part_stream_begin(&self, dst: usize, ctx: u64, send: PartStreamSend) -> u64;
+    fn part_stream_begin(&self, fabric: &Fabric, dst: usize, ctx: u64, send: PartStreamSend)
+        -> u64;
 
     /// Hand one ready byte range (`parts` coalesced partitions ending
     /// their `pready`s) to the stream. `data` is *pinned*, not copied:
@@ -156,20 +210,37 @@ pub(crate) trait Transport: Send + Sync {
 
     /// Pin a whole partitioned destination buffer for the next stream
     /// from `src` on `ctx`; pairs FIFO with incoming `PartRts`s.
-    fn part_stream_post(&self, fabric: &Fabric, src: usize, ctx: u64, recv: PartStreamRecv);
+    fn part_stream_post(&self, fabric: &Fabric, src: usize, ctx: u64, recv: PartStreamRecv) {
+        self.session().post(self, fabric, src, ctx, recv);
+    }
 
     /// Cross-process barrier (rank 0 coordinates).
-    fn barrier(&self, fabric: &Fabric, rank: usize);
+    fn barrier(&self, fabric: &Fabric, rank: usize) {
+        self.session().barrier(self, fabric, rank);
+    }
 
     /// Announce a window's length to its remote origin.
-    fn announce_win(&self, origin: usize, win_ctx: u64, len: usize);
+    fn announce_win(&self, fabric: &Fabric, origin: usize, win_ctx: u64, len: usize) {
+        let len = len as u64;
+        self.send(fabric, origin, Frame::WinAnnounce { win_ctx, len });
+    }
 
     /// Block until the remote target announced the window; returns its
     /// length.
-    fn wait_win_announce(&self, fabric: &Fabric, rank: usize, win_ctx: u64) -> usize;
+    fn wait_win_announce(&self, fabric: &Fabric, rank: usize, win_ctx: u64) -> usize {
+        self.session().wait_win_announce(fabric, rank, win_ctx)
+    }
 
     /// One-sided put into a remote window.
-    fn put(&self, target: usize, win_ctx: u64, offset: usize, data: &[u8]);
+    fn put(&self, fabric: &Fabric, target: usize, win_ctx: u64, offset: usize, data: &[u8]) {
+        let (offset, payload) = (offset as u64, data.to_vec());
+        let put = Frame::Put {
+            win_ctx,
+            offset,
+            payload,
+        };
+        self.send(fabric, target, put);
+    }
 
     /// One-sided get from a remote window (blocking round trip).
     fn get(
@@ -180,14 +251,17 @@ pub(crate) trait Transport: Send + Sync {
         win_ctx: u64,
         offset: usize,
         len: usize,
-    ) -> Vec<u8>;
+    ) -> Vec<u8> {
+        self.session()
+            .get(self, fabric, rank, target, win_ctx, offset, len)
+    }
 
     /// Socket health per peer, for stall reports.
     fn peer_states(&self) -> Vec<PeerSocketState>;
 
     /// Tell every peer the universe failed (first broadcast wins;
     /// subsequent calls are no-ops).
-    fn broadcast_abort(&self, err: &PcommError);
+    fn broadcast_abort(&self, fabric: &Fabric, err: &PcommError);
 
     /// One bounded wait step inside `Fabric::wait_on`: park until
     /// `completion` fires or a transport-chosen slice elapses; returns
@@ -419,40 +493,6 @@ impl StreamSend {
     }
 }
 
-/// Receiver-side state of one active partitioned stream: where ranges
-/// land and which message completions they flip.
-pub(crate) struct StreamRecv {
-    pub(crate) base: *mut u8,
-    pub(crate) total_len: usize,
-    /// Bytes of the whole buffer not yet committed; the stream retires
-    /// when this hits zero.
-    pub(crate) remaining_total: AtomicUsize,
-    pub(crate) msgs: Vec<PartStreamMsg>,
-    /// See [`PartStreamRecv::copies`].
-    pub(crate) copies: Arc<AtomicU64>,
-    /// Sorted, disjoint byte intervals already committed. Failover and
-    /// reconnect replay whole batches (at-least-once delivery), so every
-    /// commit first claims its range here and only the never-seen-before
-    /// sub-ranges count — a duplicate `PartData` is a no-op.
-    pub(crate) committed: Mutex<Vec<(usize, usize)>>,
-}
-
-// SAFETY: same argument as [`PartStreamRecv`]; `Sync` because multiple
-// reader lanes commit concurrently, but every byte of the destination
-// belongs to exactly one `PartData` frame, so writes never alias.
-unsafe impl Send for StreamRecv {}
-unsafe impl Sync for StreamRecv {}
-
-/// FIFO pairing of incoming `PartRts`s with posted destinations for one
-/// `(src, ctx)` partitioned pair — whichever side shows up first waits.
-#[derive(Default)]
-pub(crate) struct PartPair {
-    /// Streams announced by the sender, not yet posted: `(id, len)`.
-    pub(crate) pending_rts: VecDeque<(u64, usize)>,
-    /// Destinations posted by the receiver, not yet announced.
-    pub(crate) waiting: VecDeque<PartStreamRecv>,
-}
-
 /// A pinned partitioned range headed for the wire: the writer encodes
 /// an 18-byte `PartData` header into scratch and writes the payload
 /// straight from the source buffer (no copy), then completes the spans
@@ -492,21 +532,6 @@ enum WriterMsg {
     Rdv(RdvWrite),
     /// Flush and exit (teardown).
     Shutdown,
-}
-
-/// A pinned rendezvous send waiting for its CTS.
-struct PendingRdv {
-    pinned: PinnedSend,
-    dst: usize,
-}
-
-/// A matched posted receive waiting for its wire data.
-struct RemoteRecv {
-    posted: PostedRecv,
-    shard: usize,
-    tag: i64,
-    /// Local timestamp of the RTS frame's arrival, for the RdvCopy span.
-    rts_ns: Option<u64>,
 }
 
 /// One writer lane of a peer: its own socket, a writer thread draining
@@ -609,38 +634,14 @@ struct Peer {
 /// plus the request state they complete (see the module docs for the
 /// model).
 pub(crate) struct SocketTransport {
+    /// The shared protocol state (see [`crate::session`]).
+    session: Session,
     rank: usize,
-    n_ranks: usize,
     peers: Vec<Option<Peer>>,
-    next_rdv_id: AtomicU64,
     /// `PCOMM_NET_AGGR`: partition-stream aggregation threshold.
     aggr: usize,
-    /// Sender side: pinned buffers waiting for a CTS, by rendezvous id.
-    pending_rdv: Mutex<HashMap<u64, PendingRdv>>,
-    /// Receiver side: matched buffers waiting for data, by (src, id).
-    remote_recvs: Mutex<HashMap<(usize, u64), RemoteRecv>>,
     /// Sender side: open partitioned streams, by stream id.
     streams_out: Mutex<HashMap<u64, StreamSend>>,
-    /// Receiver side: RTS/post pairing per partitioned (src, ctx) pair.
-    part_registry: Mutex<HashMap<(usize, u64), PartPair>>,
-    /// Receiver side: active streams taking `PartData`, by (src, id).
-    streams_in: Mutex<HashMap<(usize, u64), Arc<StreamRecv>>>,
-    /// This process's barrier generation counter (SPMD-aligned).
-    barrier_gen: AtomicU64,
-    /// Rank 0 only: which ranks arrived per generation. A set, not a
-    /// count: the ordered lane is at-least-once across a reconnect, so a
-    /// replayed `BarrierArrive` must not double-count.
-    arrivals: Mutex<HashMap<u64, HashSet<usize>>>,
-    /// Release completions per generation (waiter or release creates).
-    releases: Mutex<HashMap<u64, Arc<Completion>>>,
-    /// Window announcements: completion + announced length per win ctx.
-    #[allow(clippy::type_complexity)]
-    win_slots: Mutex<HashMap<u64, (Arc<Completion>, Option<usize>)>>,
-    next_get_token: AtomicU64,
-    /// In-flight gets: completion + landing slot per token.
-    #[allow(clippy::type_complexity)]
-    get_waiters: Mutex<HashMap<u64, (Arc<Completion>, Arc<Mutex<Option<Vec<u8>>>>)>>,
-    abort_sent: AtomicBool,
     readers: Mutex<Vec<JoinHandle<()>>>,
     /// Mesh parameters, kept for the bounded lane-0 reconnect.
     cfg: MeshConfig,
@@ -739,23 +740,11 @@ impl SocketTransport {
             })
             .collect();
         SocketTransport {
+            session: Session::new(rank, n_ranks),
             rank,
-            n_ranks,
             peers,
-            next_rdv_id: AtomicU64::new(0),
             aggr: pcomm_net::launch::aggr_from_env(),
-            pending_rdv: Mutex::new(HashMap::new()),
-            remote_recvs: Mutex::new(HashMap::new()),
             streams_out: Mutex::new(HashMap::new()),
-            part_registry: Mutex::new(HashMap::new()),
-            streams_in: Mutex::new(HashMap::new()),
-            barrier_gen: AtomicU64::new(0),
-            arrivals: Mutex::new(HashMap::new()),
-            releases: Mutex::new(HashMap::new()),
-            win_slots: Mutex::new(HashMap::new()),
-            next_get_token: AtomicU64::new(0),
-            get_waiters: Mutex::new(HashMap::new()),
-            abort_sent: AtomicBool::new(false),
             readers: Mutex::new(Vec::new()),
             cfg,
             hb_ms: pcomm_net::launch::hb_ms_from_env(),
@@ -818,34 +807,6 @@ impl SocketTransport {
             epoch,
             seq,
         });
-    }
-
-    /// Audit hook: the `PartData` range `offset..offset+len` of stream
-    /// `rdv_id` is about to leave on `lane_idx`. Same locking contract
-    /// as [`emit_wire_send`](Self::emit_wire_send); emitted before the
-    /// write so a torn batch still records what may have reached the
-    /// peer. No-op unless the trace is verify-grade.
-    fn emit_stream_data_tx(
-        &self,
-        fabric: &Fabric,
-        dst: usize,
-        lane_idx: usize,
-        rdv_id: u64,
-        offset: u64,
-        len: usize,
-    ) {
-        let (p16, l16, stream) = (dst as u16, lane_idx as u16, rdv_id as u32);
-        let len32 = len as u32;
-        fabric
-            .trace()
-            .emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                peer: p16,
-                lane: l16,
-                tx: true,
-                stream,
-                offset,
-                len: len32,
-            });
     }
 
     /// Spawn the per-peer-per-lane reader and writer threads (plus the
@@ -1112,7 +1073,9 @@ impl SocketTransport {
             }
             for chunk in &bucket {
                 self.emit_wire_send(fabric, dst, lane_idx, frame::op::PART_DATA);
-                self.emit_stream_data_tx(fabric, dst, lane_idx, rdv_id, chunk.offset, chunk.len);
+                let (offset, len) = (chunk.offset, chunk.len);
+                self.session
+                    .emit_data_tx(fabric, dst, lane_idx, rdv_id, offset, len);
             }
             let wrote = write_all_vectored(ep, &slices).and_then(|()| ep.flush());
             drop(slices);
@@ -1159,121 +1122,6 @@ impl SocketTransport {
             // ORDERING: statistics counter surfaced in diagnostics
             // snapshots only; no memory is published through it.
             peer.frames_sent.fetch_add(sent, Ordering::Relaxed);
-        }
-    }
-
-    /// Receiver: a sender announced a stream. Pair it with a posted
-    /// destination if one is waiting, else park the announcement.
-    fn handle_part_rts(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        ctx: u64,
-        total_len: usize,
-        rdv_id: u64,
-    ) {
-        {
-            let (p16, stream, total) = (src as u16, rdv_id as u32, total_len as u64);
-            fabric
-                .trace()
-                .emit_verify(self.rank as u16, || EventKind::VerifyStreamRts {
-                    peer: p16,
-                    tx: false,
-                    stream,
-                    total_len: total,
-                });
-        }
-        let recv = {
-            let mut reg = self.part_registry.lock();
-            let pair = reg.entry((src, ctx)).or_default();
-            match pair.waiting.pop_front() {
-                Some(recv) => Some(recv),
-                None => {
-                    pair.pending_rts.push_back((rdv_id, total_len));
-                    None
-                }
-            }
-        };
-        if let Some(recv) = recv {
-            self.activate_stream(fabric, src, rdv_id, total_len, recv, true);
-        }
-    }
-
-    /// Receiver: a posted destination met its announcement — validate,
-    /// register the active stream, and clear the sender to stream.
-    /// `inline` is true when called from a reader thread (RTS arrival),
-    /// false from an app thread (`start` posting the destination).
-    fn activate_stream(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        total_len: usize,
-        recv: PartStreamRecv,
-        inline: bool,
-    ) {
-        if recv.total_len != total_len {
-            fabric.fail(PcommError::misuse(
-                src,
-                format!(
-                    "partitioned stream length mismatch: sender announced {total_len} B, \
-                     receiver pinned {} B",
-                    recv.total_len
-                ),
-            ));
-            return;
-        }
-        let trace = fabric.trace();
-        if trace.is_verify() {
-            // The receiver is the only side that knows both the wire
-            // stream id and the verify-layer (req, msg) identities; these
-            // join events let the offline auditor unify the two ranks'
-            // independently-interned request ids.
-            let stream32 = rdv_id as u32;
-            for msg in recv.msgs.iter() {
-                let Some((req, m16)) = msg.verify_msg else {
-                    continue;
-                };
-                let (off, len32) = (msg.offset as u64, msg.len as u32);
-                trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamMsg {
-                    stream: stream32,
-                    req,
-                    msg: m16,
-                    tx: false,
-                    offset: off,
-                    len: len32,
-                });
-            }
-            let p16 = src as u16;
-            let epoch = self.peers[src]
-                .as_ref()
-                .map_or(0, |p| p.epoch.load(Ordering::Acquire));
-            trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
-                peer: p16,
-                tx: true,
-                stream: stream32,
-                epoch,
-            });
-        }
-        let stream = Arc::new(StreamRecv {
-            base: recv.base,
-            total_len,
-            remaining_total: AtomicUsize::new(total_len),
-            msgs: recv.msgs,
-            copies: recv.copies,
-            committed: Mutex::new(Vec::new()),
-        });
-        self.streams_in.lock().insert((src, rdv_id), stream);
-        // From a reader thread, prefer a direct data-lane write for the
-        // CTS: the sender's data-lane reader then dispatches the queued
-        // chunks from its own thread, so the whole release chain costs
-        // no writer-thread wakeups. The CTS orders against nothing on
-        // the ordered lane — the sender just needs it as fast as
-        // possible. From an app thread, enqueue instead of blocking.
-        if inline {
-            self.send_data_frame(fabric, src, Frame::PartCts { rdv_id });
-        } else {
-            self.send_frame(src, Frame::PartCts { rdv_id });
         }
     }
 
@@ -1327,20 +1175,7 @@ impl SocketTransport {
         if fabric.aborted() {
             return;
         }
-        {
-            let (p16, stream) = (peer as u16, rdv_id as u32);
-            let epoch = self.peers[peer]
-                .as_ref()
-                .map_or(0, |p| p.epoch.load(Ordering::Acquire));
-            fabric
-                .trace()
-                .emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
-                    peer: p16,
-                    tx: false,
-                    stream,
-                    epoch,
-                });
-        }
+        self.session.cts_arrived(self, fabric, peer, rdv_id);
         let (dst, spans, chunks) = {
             let mut out = self.streams_out.lock();
             let Some(stream) = out.get_mut(&rdv_id) else {
@@ -1360,131 +1195,6 @@ impl SocketTransport {
         self.dispatch_chunks(fabric, dst, rdv_id, &spans, chunks, true);
     }
 
-    /// Receiver: look up the active stream for `(src, rdv_id)` and
-    /// validate that `offset..offset+len` fits its destination. Returns
-    /// `None` for post-abort stragglers (the caller discards the bytes);
-    /// an overflowing range fails the universe.
-    fn stream_range(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        offset: usize,
-        len: usize,
-    ) -> Option<Arc<StreamRecv>> {
-        if fabric.aborted() {
-            return None;
-        }
-        let stream = self.streams_in.lock().get(&(src, rdv_id)).cloned()?;
-        match offset.checked_add(len) {
-            Some(end) if end <= stream.total_len => Some(stream),
-            _ => {
-                fabric.fail(PcommError::misuse(
-                    src,
-                    format!(
-                        "partitioned stream range {offset}+{len} overflows a \
-                         {}-byte destination",
-                        stream.total_len
-                    ),
-                ));
-                None
-            }
-        }
-    }
-
-    /// Receiver: the bytes of `offset..offset+len` are in the pinned
-    /// destination — flip every message completion the range finishes
-    /// and retire the stream once the whole buffer has landed.
-    #[allow(clippy::too_many_arguments)] // one per envelope field
-    fn commit_stream_range(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        lane: usize,
-        rdv_id: u64,
-        stream: &StreamRecv,
-        offset: usize,
-        len: usize,
-    ) {
-        let end = offset + len;
-        let trace = fabric.trace();
-        let stream32 = rdv_id as u32;
-        {
-            // Recorded before the dedup claim: the auditor's FSM pass
-            // wants every range the wire delivered, duplicates included
-            // (replay absorption is exactly what the ledger pass proves).
-            let (p16, l16, off64, len32) = (src as u16, lane as u16, offset as u64, len as u32);
-            trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                peer: p16,
-                lane: l16,
-                tx: false,
-                stream: stream32,
-                offset: off64,
-                len: len32,
-            });
-        }
-        // At-least-once wire: a lane failover or reconnect replays whole
-        // batches, so the same range can land twice. Claim it against
-        // the stream's interval ledger first — only the never-committed
-        // sub-ranges count toward message and stream completion.
-        let fresh = {
-            let mut committed = stream.committed.lock();
-            claim_range(&mut committed, offset, end)
-        };
-        let fresh_bytes: usize = fresh.iter().map(|&(lo, hi)| hi - lo).sum();
-        if fresh_bytes == 0 {
-            return; // pure duplicate: every byte landed before
-        }
-        for &(f_lo, f_hi) in &fresh {
-            let (p16, l16, lo64, flen) =
-                (src as u16, lane as u16, f_lo as u64, (f_hi - f_lo) as u32);
-            trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamCommit {
-                peer: p16,
-                lane: l16,
-                stream: stream32,
-                lo: lo64,
-                len: flen,
-            });
-        }
-        let mut msgs_done = 0u16;
-        for &(f_lo, f_hi) in &fresh {
-            for msg in &stream.msgs {
-                let lo = msg.offset.max(f_lo);
-                let hi = (msg.offset + msg.len).min(f_hi);
-                if lo >= hi {
-                    continue;
-                }
-                let overlap = hi - lo;
-                // AcqRel: the final decrement acquires every earlier
-                // committer's bytes, so the completion flip below
-                // publishes a fully written message range. The ledger
-                // claim above guarantees each byte is subtracted exactly
-                // once, so this never underflows.
-                let before = msg.remaining.fetch_sub(overlap, Ordering::AcqRel);
-                if before == overlap {
-                    fabric.complete_stream_msg(&msg.completion, msg.verify_msg);
-                    msgs_done += 1;
-                }
-            }
-        }
-        let (off64, bytes) = (offset as u64, fresh_bytes as u64);
-        fabric
-            .trace()
-            .emit(self.rank as u16, || EventKind::StreamCommit {
-                lane: lane as u16,
-                msgs: msgs_done,
-                offset: off64,
-                bytes,
-            });
-        if stream
-            .remaining_total
-            .fetch_sub(fresh_bytes, Ordering::AcqRel)
-            == fresh_bytes
-        {
-            self.streams_in.lock().remove(&(src, rdv_id));
-        }
-    }
-
     /// Receiver: one already-decoded range landed (the `dispatch` slow
     /// path; lane readers normally read payloads straight into the
     /// destination instead) — copy it in and commit.
@@ -1499,7 +1209,7 @@ impl SocketTransport {
     ) {
         let len = payload.len();
         let offset = offset as usize;
-        let Some(stream) = self.stream_range(fabric, src, rdv_id, offset, len) else {
+        let Some(stream) = self.session.stream_range(fabric, src, rdv_id, offset, len) else {
             return;
         };
         // SAFETY: the destination stays pinned until the completions set
@@ -1510,7 +1220,8 @@ impl SocketTransport {
         unsafe {
             std::ptr::copy_nonoverlapping(payload.as_ptr(), stream.base.add(offset), len);
         }
-        self.commit_stream_range(fabric, src, lane, rdv_id, &stream, offset, len);
+        self.session
+            .commit_range(fabric, src, lane, rdv_id, &stream, offset, len);
     }
 
     /// Recover from a dead lane-0 socket with ONE bounded reconnect per
@@ -1593,7 +1304,7 @@ impl SocketTransport {
         // (rdv_id, received bytes, missing ranges) per active stream.
         type ResyncReport = (u64, u64, Vec<(u64, u64)>);
         let reports: Vec<ResyncReport> = {
-            let streams = self.streams_in.lock();
+            let streams = self.session.streams_in.lock();
             streams
                 .iter()
                 .filter(|((src, _), _)| *src == peer)
@@ -1676,47 +1387,12 @@ impl SocketTransport {
         }
     }
 
-    /// Get-or-create the release completion for barrier generation
-    /// `gen` (reader thread and waiting rank race to create it).
-    fn release_completion(&self, gen: u64) -> Arc<Completion> {
-        Arc::clone(self.releases.lock().entry(gen).or_default())
-    }
-
-    /// Rank 0: record `from`'s arrival for `gen`; on the last distinct
-    /// one, broadcast the release and complete the local waiter. Keyed
-    /// by rank, not counted: a reconnect can replay a `BarrierArrive`.
-    fn note_arrival(&self, gen: u64, from: usize) {
-        debug_assert_eq!(self.rank, 0, "only rank 0 coordinates barriers");
-        let all_in = {
-            let mut arrivals = self.arrivals.lock();
-            let ranks = arrivals.entry(gen).or_default();
-            ranks.insert(from);
-            if ranks.len() == self.n_ranks {
-                arrivals.remove(&gen);
-                true
-            } else {
-                false
-            }
-        };
-        if all_in {
-            for peer in 1..self.n_ranks {
-                self.send_frame(peer, Frame::BarrierRelease { gen });
-            }
-            self.release_completion(gen).set();
-        }
-    }
-
-    /// Sender side of the wire rendezvous: a CTS arrived, so frame the
-    /// pinned bytes and complete the send.
+    /// Sender side of the wire rendezvous: a CTS arrived, so hand the
+    /// pinned bytes to the lane-0 writer, which completes the send.
     fn handle_cts(&self, fabric: &Fabric, peer: usize, rdv_id: u64) {
-        let Some(pending) = self.pending_rdv.lock().remove(&rdv_id) else {
-            return; // duplicate or post-abort straggler
+        let Some(pending) = self.session.take_pending_rdv(fabric, rdv_id) else {
+            return; // duplicate, post-abort straggler, or unwinding
         };
-        if fabric.aborted() {
-            // The sender is unwinding via the abort; its buffer may be
-            // on its way out — do not touch it, do not set done.
-            return;
-        }
         // Zero-copy: the pinned source rides to the lane-0 writer as an
         // `RdvWrite`; its `done` fires there, after the vectored write,
         // so the buffer stays pinned through the kernel handoff
@@ -1730,104 +1406,25 @@ impl SocketTransport {
         }
     }
 
-    /// Dispatch one received frame. Returns `false` when the peer said
-    /// goodbye and the reader should exit.
-    fn dispatch(&self, fabric: &Arc<Fabric>, peer: usize, lane: usize, frame: Frame) -> bool {
-        match frame {
-            Frame::Eager {
-                shard,
-                ctx,
-                tag,
-                payload,
-            } => fabric.deliver_wire_eager(peer, shard as usize, ctx, tag, &payload),
-            Frame::Rts {
-                shard,
-                ctx,
-                tag,
-                len,
-                rdv_id,
-            } => fabric.deliver_wire_rts(peer, shard as usize, ctx, tag, len as usize, rdv_id),
-            Frame::Cts { rdv_id } => self.handle_cts(fabric, peer, rdv_id),
-            Frame::RdvData { rdv_id, payload } => {
-                let entry = self.remote_recvs.lock().remove(&(peer, rdv_id));
-                if let Some(r) = entry {
-                    fabric.complete_remote_rdv(r.posted, peer, r.tag, r.shard, &payload, r.rts_ns);
-                }
-            }
-            Frame::PartRts {
-                ctx,
-                total_len,
-                rdv_id,
-            } => self.handle_part_rts(fabric, peer, ctx, total_len as usize, rdv_id),
-            Frame::PartCts { rdv_id } => self.handle_part_cts(fabric, peer, rdv_id),
-            Frame::PartData {
+    /// Dispatch one received frame: the session takes the shared
+    /// protocol, this transport the rest. Returns `false` when the peer
+    /// said goodbye and the reader should exit.
+    fn dispatch(&self, fabric: &Fabric, peer: usize, lane: usize, frame: Frame) -> bool {
+        match self.session.dispatch(self, fabric, peer, frame) {
+            Some(Frame::Cts { rdv_id }) => self.handle_cts(fabric, peer, rdv_id),
+            Some(Frame::PartCts { rdv_id }) => self.handle_part_cts(fabric, peer, rdv_id),
+            Some(Frame::PartData {
                 rdv_id,
                 offset,
                 payload,
-            } => self.handle_part_data(fabric, peer, lane, rdv_id, offset, &payload),
-            Frame::BarrierArrive { gen } => self.note_arrival(gen, peer),
-            Frame::BarrierRelease { gen } => self.release_completion(gen).set(),
-            // Liveness only; the reader already refreshed `last_heard_ms`.
-            Frame::Heartbeat { .. } => {}
-            Frame::StreamResync {
+            }) => self.handle_part_data(fabric, peer, lane, rdv_id, offset, &payload),
+            Some(Frame::StreamResync {
                 rdv_id, missing, ..
-            } => self.handle_stream_resync(fabric, peer, rdv_id, &missing),
-            Frame::Abort {
-                kind,
-                a,
-                b,
-                tag,
-                attempts,
-                detail,
-            } => fabric.fail_from_wire(decode_abort(kind, a, b, tag, attempts, detail)),
-            Frame::Bye => return false,
-            Frame::WinAnnounce { win_ctx, len } => {
-                let completion = {
-                    let mut slots = self.win_slots.lock();
-                    let slot = slots
-                        .entry(win_ctx)
-                        .or_insert_with(|| (Completion::new(), None));
-                    slot.1 = Some(len as usize);
-                    Arc::clone(&slot.0)
-                };
-                completion.set();
-            }
-            Frame::Put {
-                win_ctx,
-                offset,
-                payload,
-            } => fabric.apply_remote_put(peer, win_ctx, offset as usize, &payload),
-            Frame::GetReq {
-                win_ctx,
-                offset,
-                len,
-                token,
-            } => match fabric.read_win(win_ctx, offset as usize, len as usize) {
-                Some(data) => self.send_frame(
-                    peer,
-                    Frame::GetResp {
-                        token,
-                        payload: data,
-                    },
-                ),
-                None => fabric.fail(PcommError::misuse(
-                    peer,
-                    format!("get of {len} B at offset {offset} misses window ctx {win_ctx}"),
-                )),
-            },
-            Frame::GetResp { token, payload } => {
-                let waiter = {
-                    let waiters = self.get_waiters.lock();
-                    waiters
-                        .get(&token)
-                        .map(|(c, s)| (Arc::clone(c), Arc::clone(s)))
-                };
-                if let Some((completion, slot)) = waiter {
-                    *slot.lock() = Some(payload);
-                    completion.set();
-                }
-            }
-            Frame::Hello { .. } => {} // mesh rendezvous only; stray copies ignored
+            }) => self.handle_stream_resync(fabric, peer, rdv_id, &missing),
+            Some(Frame::Bye) => return false,
+            // Heartbeats are liveness only; the reader already refreshed
+            // `last_heard_ms`.
+            _ => {}
         }
         true
     }
@@ -1842,37 +1439,9 @@ impl SocketTransport {
     /// `shutdown(2)` the sockets so blocked readers return. Never
     /// unwinds: failures found here are recorded on the fabric.
     pub(crate) fn finalize(&self, fabric: &Fabric) {
-        if !fabric.aborted() {
-            // ORDERING: generation allocator — only uniqueness matters;
-            // the value travels to peers inside frames, not via memory.
-            let gen = self.barrier_gen.fetch_add(1, Ordering::Relaxed);
-            let completion = self.release_completion(gen);
-            if self.rank == 0 {
-                self.note_arrival(gen, self.rank);
-            } else {
-                self.send_frame(0, Frame::BarrierArrive { gen });
-            }
-            let deadline = Instant::now() + FINALIZE_TIMEOUT;
-            loop {
-                if completion.wait_timeout(TEARDOWN_SLICE) {
-                    break;
-                }
-                if fabric.aborted() {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    fabric.fail(PcommError::Misuse {
-                        rank: Some(self.rank),
-                        detail: format!(
-                            "finalize barrier timed out after {FINALIZE_TIMEOUT:?}: \
-                             some rank process neither finished nor aborted"
-                        ),
-                    });
-                    break;
-                }
-            }
-            self.releases.lock().remove(&gen);
-        }
+        self.session.finalize_barrier(self, fabric, |completion| {
+            completion.wait_timeout(TEARDOWN_SLICE);
+        });
         // Liveness held through the barrier above (a dead peer there
         // must still escalate); from here on silence is expected.
         self.hb_stop.store(true, Ordering::Release);
@@ -1884,7 +1453,7 @@ impl SocketTransport {
             // `abort_sent` dedupes. Covers failures recorded before the
             // transport was attached.
             if let Some(err) = fabric.failure_snapshot() {
-                self.broadcast_abort(&err);
+                self.broadcast_abort(fabric, &err);
             }
         }
         for peer in self.peers.iter().flatten() {
@@ -1939,74 +1508,50 @@ impl SocketTransport {
     }
 }
 
-impl Transport for SocketTransport {
-    fn local_rank(&self) -> usize {
-        self.rank
+/// The socket byte mover as the session sees it.
+impl Link for SocketTransport {
+    fn send(&self, _: &Fabric, dst: usize, frame: Frame) {
+        self.send_frame(dst, frame);
     }
 
-    fn is_multiproc(&self) -> bool {
-        true
-    }
-
-    fn ship_eager(&self, dst: usize, shard: usize, ctx: u64, tag: i64, data: &[u8]) {
-        self.send_frame(
-            dst,
-            Frame::Eager {
-                shard: shard as u16,
-                ctx,
-                tag,
-                payload: data.to_vec(),
-            },
-        );
-    }
-
-    fn ship_rts(&self, dst: usize, shard: usize, ctx: u64, tag: i64, pinned: PinnedSend) {
-        // ORDERING: id allocator — only uniqueness matters; the id
-        // reaches the peer inside the Rts frame, not via memory.
-        let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
-        let len = pinned.len as u64;
-        self.pending_rdv
-            .lock()
-            .insert(rdv_id, PendingRdv { pinned, dst });
-        self.send_frame(
-            dst,
-            Frame::Rts {
-                shard: shard as u16,
-                ctx,
-                tag,
-                len,
-                rdv_id,
-            },
-        );
-    }
-
-    fn accept_remote_rdv(
+    /// From a reader thread, prefer a direct data-lane write for the
+    /// CTS: the sender's data-lane reader then dispatches the queued
+    /// chunks from its own thread, so the whole release chain costs no
+    /// writer-thread wakeups. The CTS orders against nothing on the
+    /// ordered lane — the sender just needs it as fast as possible.
+    /// From an app thread, enqueue instead of blocking.
+    fn send_part_cts(
         &self,
+        fabric: &Fabric,
         src: usize,
         rdv_id: u64,
-        posted: PostedRecv,
-        shard: usize,
-        tag: i64,
-        rts_ns: Option<u64>,
+        _: &StreamRecv,
+        inline: bool,
     ) {
-        self.remote_recvs.lock().insert(
-            (src, rdv_id),
-            RemoteRecv {
-                posted,
-                shard,
-                tag,
-                rts_ns,
-            },
-        );
-        self.send_frame(src, Frame::Cts { rdv_id });
+        if inline {
+            self.send_data_frame(fabric, src, Frame::PartCts { rdv_id });
+        } else {
+            self.send_frame(src, Frame::PartCts { rdv_id });
+        }
     }
 
-    fn part_stream_begin(&self, dst: usize, ctx: u64, send: PartStreamSend) -> u64 {
+    fn verify_epoch(&self, peer: usize) -> u32 {
+        self.peers[peer]
+            .as_ref()
+            .map_or(0, |p| p.epoch.load(Ordering::Acquire))
+    }
+}
+
+impl Transport for SocketTransport {
+    fn session(&self) -> &Session {
+        &self.session
+    }
+
+    fn part_stream_begin(&self, _: &Fabric, dst: usize, ctx: u64, send: PartStreamSend) -> u64 {
         let PartStreamSend {
             total_len, spans, ..
         } = send;
-        // ORDERING: id allocator (see `ship_rts`) — uniqueness only.
-        let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
+        let rdv_id = self.session.next_id();
         let spans = Arc::new(spans);
         {
             // Keep the span set reachable for a post-reconnect resync
@@ -2075,124 +1620,8 @@ impl Transport for SocketTransport {
         self.dispatch_chunks(fabric, dst, stream_id, &spans, ready, false);
     }
 
-    fn part_stream_post(&self, fabric: &Fabric, src: usize, ctx: u64, recv: PartStreamRecv) {
-        let activate = {
-            let mut reg = self.part_registry.lock();
-            let pair = reg.entry((src, ctx)).or_default();
-            if let Some((rdv_id, total_len)) = pair.pending_rts.pop_front() {
-                Some((rdv_id, total_len, recv))
-            } else {
-                pair.waiting.push_back(recv);
-                None
-            }
-        };
-        if let Some((rdv_id, total_len, recv)) = activate {
-            self.activate_stream(fabric, src, rdv_id, total_len, recv, false);
-        }
-    }
-
-    fn barrier(&self, fabric: &Fabric, rank: usize) {
-        // ORDERING: generation allocator (see `finalize`) — uniqueness
-        // only; barrier ordering comes from the frames themselves.
-        let gen = self.barrier_gen.fetch_add(1, Ordering::Relaxed);
-        let completion = self.release_completion(gen);
-        if self.rank == 0 {
-            self.note_arrival(gen, self.rank);
-        } else {
-            self.send_frame(0, Frame::BarrierArrive { gen });
-        }
-        fabric.wait_on(&completion, rank, || {
-            (format!("barrier (generation {gen})"), None, None)
-        });
-        self.releases.lock().remove(&gen);
-    }
-
-    fn announce_win(&self, origin: usize, win_ctx: u64, len: usize) {
-        self.send_frame(
-            origin,
-            Frame::WinAnnounce {
-                win_ctx,
-                len: len as u64,
-            },
-        );
-    }
-
-    fn wait_win_announce(&self, fabric: &Fabric, rank: usize, win_ctx: u64) -> usize {
-        let completion = {
-            let mut slots = self.win_slots.lock();
-            Arc::clone(
-                &slots
-                    .entry(win_ctx)
-                    .or_insert_with(|| (Completion::new(), None))
-                    .0,
-            )
-        };
-        fabric.wait_on(&completion, rank, || {
-            (format!("attach_win(ctx={win_ctx})"), None, None)
-        });
-        self.win_slots
-            .lock()
-            .get(&win_ctx)
-            .and_then(|slot| slot.1)
-            // PANIC: the completion waited on above is signalled only
-            // by the WinAnnounce handler, which stores the length
-            // before signalling.
-            .expect("announced window carries a length")
-    }
-
-    fn put(&self, target: usize, win_ctx: u64, offset: usize, data: &[u8]) {
-        self.send_frame(
-            target,
-            Frame::Put {
-                win_ctx,
-                offset: offset as u64,
-                payload: data.to_vec(),
-            },
-        );
-    }
-
-    fn get(
-        &self,
-        fabric: &Fabric,
-        rank: usize,
-        target: usize,
-        win_ctx: u64,
-        offset: usize,
-        len: usize,
-    ) -> Vec<u8> {
-        // ORDERING: token allocator — uniqueness only, the token rides
-        // inside the GetReq frame.
-        let token = self.next_get_token.fetch_add(1, Ordering::Relaxed);
-        let completion = Completion::new();
-        let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-        self.get_waiters
-            .lock()
-            .insert(token, (Arc::clone(&completion), Arc::clone(&slot)));
-        self.send_frame(
-            target,
-            Frame::GetReq {
-                win_ctx,
-                offset: offset as u64,
-                len: len as u64,
-                token,
-            },
-        );
-        fabric.wait_on(&completion, rank, || {
-            (
-                format!("rma get({len} B from rank {target})"),
-                None,
-                Some(target),
-            )
-        });
-        self.get_waiters.lock().remove(&token);
-        let data = slot.lock().take();
-        // PANIC: the completion waited on above is signalled only by
-        // the GetResp handler, which fills the slot before signalling.
-        data.expect("completed get carries its payload")
-    }
-
     fn peer_states(&self) -> Vec<PeerSocketState> {
-        let pending = self.pending_rdv.lock();
+        let pending = self.session.pending_rdv.lock();
         let streams = self.streams_out.lock();
         let now = self.now_ms();
         self.peers
@@ -2234,15 +1663,13 @@ impl Transport for SocketTransport {
             .collect()
     }
 
-    fn broadcast_abort(&self, err: &PcommError) {
-        if self.abort_sent.swap(true, Ordering::SeqCst) {
+    fn broadcast_abort(&self, _: &Fabric, err: &PcommError) {
+        if !self.session.first_abort() {
             return;
         }
         let frame = encode_abort(err);
-        for peer in 0..self.n_ranks {
-            if peer != self.rank {
-                self.send_frame(peer, frame.clone());
-            }
+        for peer in (0..self.session.n_ranks).filter(|&p| p != self.rank) {
+            self.send_frame(peer, frame.clone());
         }
     }
 }
@@ -2280,9 +1707,10 @@ fn write_all_vectored(w: &mut impl Write, bufs: &[&[u8]]) -> io::Result<()> {
 
 /// Flip the `done` completions of every sender span fully covered once
 /// `offset..offset+len` is on the wire (sender-side mirror of the
-/// receiver's commit bookkeeping).
+/// receiver's commit bookkeeping). The end saturates: the range can
+/// come from a peer's `K_PART_DONE`.
 pub(crate) fn complete_spans(spans: &[SendSpan], offset: usize, len: usize) {
-    let end = offset + len;
+    let end = offset.saturating_add(len);
     for span in spans {
         let lo = span.offset.max(offset);
         let hi = (span.offset + span.len).min(end);
@@ -2463,7 +1891,7 @@ fn writer_loop(
                                     lane_idx,
                                     frame::op::PART_DATA,
                                 );
-                                transport.emit_stream_data_tx(
+                                transport.session.emit_data_tx(
                                     &fabric, peer, lane_idx, sw.rdv_id, sw.offset, sw.len,
                                 );
                             }
@@ -2638,7 +2066,10 @@ fn read_part_data(
     // PANIC: see above — statically 8 bytes.
     let offset = u64::from_le_bytes(hdr[8..].try_into().expect("8-byte offset")) as usize;
     let len = body_len - frame::PART_DATA_BODY_HDR;
-    match transport.stream_range(fabric, peer, rdv_id, offset, len) {
+    match transport
+        .session
+        .stream_range(fabric, peer, rdv_id, offset, len)
+    {
         Some(stream) => {
             // SAFETY: the destination stays pinned until the commit's
             // completions fire (invariant (1), via `PartStreamRecv`'s
@@ -2647,7 +2078,8 @@ fn read_part_data(
             // so concurrent lane readers never alias.
             let dest = unsafe { std::slice::from_raw_parts_mut(stream.base.add(offset), len) };
             ep.read_exact(dest)?;
-            transport.commit_stream_range(fabric, peer, lane, rdv_id, &stream, offset, len);
+            let session = &transport.session;
+            session.commit_range(fabric, peer, lane, rdv_id, &stream, offset, len);
         }
         None => {
             scratch.clear();
@@ -2682,7 +2114,11 @@ fn read_rdv_data(
     ep.read_exact(&mut hdr)?;
     let rdv_id = u64::from_le_bytes(hdr);
     let len = body_len - frame::RDV_DATA_BODY_HDR;
-    let entry = transport.remote_recvs.lock().remove(&(peer, rdv_id));
+    let entry = transport
+        .session
+        .remote_recvs
+        .lock()
+        .remove(&(peer, rdv_id));
     match entry {
         Some(r) if !fabric.aborted() && len <= r.posted.dest_cap => {
             // SAFETY: invariant (2) — the posted destination is exclusive
@@ -2694,7 +2130,11 @@ fn read_rdv_data(
                 // Put the entry back so a lane-0 reconnect replay (the
                 // writer re-sends the whole frame on a fresh socket) can
                 // still complete this recv.
-                transport.remote_recvs.lock().insert((peer, rdv_id), r);
+                transport
+                    .session
+                    .remote_recvs
+                    .lock()
+                    .insert((peer, rdv_id), r);
                 return Err(err);
             }
             fabric.complete_remote_rdv_in_place(r.posted, peer, r.tag, r.shard, len, r.rts_ns);
@@ -2930,40 +2370,6 @@ fn heartbeat_loop(transport: Arc<SocketTransport>, fabric: Arc<Fabric>) {
     }
 }
 
-/// Claim `[lo, hi)` against a sorted, disjoint interval ledger: merge
-/// the range in and return the sub-ranges that were NOT already present
-/// (the "fresh" bytes). An empty result means a pure duplicate.
-pub(crate) fn claim_range(
-    committed: &mut Vec<(usize, usize)>,
-    lo: usize,
-    hi: usize,
-) -> Vec<(usize, usize)> {
-    if lo >= hi {
-        return Vec::new();
-    }
-    // First interval that could overlap or touch the claim.
-    let first = committed.partition_point(|&(_, end)| end < lo);
-    let mut fresh = Vec::new();
-    let (mut merged_lo, mut merged_hi) = (lo, hi);
-    let mut cursor = lo;
-    let mut last = first;
-    while last < committed.len() && committed[last].0 <= hi {
-        let (s, e) = committed[last];
-        if cursor < s {
-            fresh.push((cursor, s.min(hi)));
-        }
-        cursor = cursor.max(e);
-        merged_lo = merged_lo.min(s);
-        merged_hi = merged_hi.max(e);
-        last += 1;
-    }
-    if cursor < hi {
-        fresh.push((cursor, hi));
-    }
-    committed.splice(first..last, std::iter::once((merged_lo, merged_hi)));
-    fresh
-}
-
 /// Map a wire-level fault (net crate's taxonomy) onto the trace event
 /// taxonomy.
 fn wire_fault_kind(kind: WireFault) -> FaultKind {
@@ -3067,7 +2473,25 @@ pub(crate) fn decode_abort(
 /// object either way and the seam costs one cached branch.
 pub(crate) struct SharedMemTransport;
 
+impl Link for SharedMemTransport {
+    fn send(&self, _: &Fabric, _: usize, _: Frame) {
+        unreachable!("shared-memory fabric never routes through the wire")
+    }
+
+    fn send_part_cts(&self, _: &Fabric, _: usize, _: u64, _: &StreamRecv, _: bool) {
+        unreachable!("shared-memory fabric never routes through the wire")
+    }
+
+    fn verify_epoch(&self, _: usize) -> u32 {
+        unreachable!("shared-memory fabric never routes through the wire")
+    }
+}
+
 impl Transport for SharedMemTransport {
+    fn session(&self) -> &Session {
+        unreachable!("shared-memory fabric has no wire session")
+    }
+
     fn local_rank(&self) -> usize {
         0
     }
@@ -3076,19 +2500,7 @@ impl Transport for SharedMemTransport {
         false
     }
 
-    fn ship_eager(&self, _: usize, _: usize, _: u64, _: i64, _: &[u8]) {
-        unreachable!("shared-memory fabric never routes through the wire")
-    }
-
-    fn ship_rts(&self, _: usize, _: usize, _: u64, _: i64, _: PinnedSend) {
-        unreachable!("shared-memory fabric never routes through the wire")
-    }
-
-    fn accept_remote_rdv(&self, _: usize, _: u64, _: PostedRecv, _: usize, _: i64, _: Option<u64>) {
-        unreachable!("shared-memory fabric never routes through the wire")
-    }
-
-    fn part_stream_begin(&self, _: usize, _: u64, _: PartStreamSend) -> u64 {
+    fn part_stream_begin(&self, _: &Fabric, _: usize, _: u64, _: PartStreamSend) -> u64 {
         unreachable!("shared-memory fabric never routes through the wire")
     }
 
@@ -3096,35 +2508,11 @@ impl Transport for SharedMemTransport {
         unreachable!("shared-memory fabric never routes through the wire")
     }
 
-    fn part_stream_post(&self, _: &Fabric, _: usize, _: u64, _: PartStreamRecv) {
-        unreachable!("shared-memory fabric never routes through the wire")
-    }
-
-    fn barrier(&self, _: &Fabric, _: usize) {
-        unreachable!("in-process barriers use the fabric's condvar path")
-    }
-
-    fn announce_win(&self, _: usize, _: u64, _: usize) {
-        unreachable!("shared-memory fabric never routes through the wire")
-    }
-
-    fn wait_win_announce(&self, _: &Fabric, _: usize, _: u64) -> usize {
-        unreachable!("shared-memory fabric never routes through the wire")
-    }
-
-    fn put(&self, _: usize, _: u64, _: usize, _: &[u8]) {
-        unreachable!("shared-memory fabric never routes through the wire")
-    }
-
-    fn get(&self, _: &Fabric, _: usize, _: usize, _: u64, _: usize, _: usize) -> Vec<u8> {
-        unreachable!("shared-memory fabric never routes through the wire")
-    }
-
     fn peer_states(&self) -> Vec<PeerSocketState> {
         Vec::new()
     }
 
-    fn broadcast_abort(&self, _: &PcommError) {}
+    fn broadcast_abort(&self, _: &Fabric, _: &PcommError) {}
 }
 
 #[cfg(test)]
@@ -3353,41 +2741,5 @@ mod tests {
             0,
             "post-completion replays are no-ops"
         );
-    }
-
-    #[test]
-    fn claim_range_reports_only_fresh_bytes() {
-        let mut ledger = Vec::new();
-        assert_eq!(claim_range(&mut ledger, 10, 20), vec![(10, 20)]);
-        assert_eq!(ledger, vec![(10, 20)]);
-        // Pure duplicate.
-        assert!(claim_range(&mut ledger, 10, 20).is_empty());
-        // Overlap on both sides.
-        assert_eq!(claim_range(&mut ledger, 5, 25), vec![(5, 10), (20, 25)]);
-        assert_eq!(ledger, vec![(5, 25)]);
-        // Disjoint ranges stay separate and sorted.
-        assert_eq!(claim_range(&mut ledger, 40, 50), vec![(40, 50)]);
-        assert_eq!(claim_range(&mut ledger, 0, 2), vec![(0, 2)]);
-        assert_eq!(ledger, vec![(0, 2), (5, 25), (40, 50)]);
-        // A claim spanning several entries returns every gap and merges.
-        assert_eq!(
-            claim_range(&mut ledger, 1, 45),
-            vec![(2, 5), (25, 40)],
-            "gaps between existing intervals are the fresh bytes"
-        );
-        assert_eq!(ledger, vec![(0, 50)]);
-        // Empty and inverted claims are no-ops.
-        assert!(claim_range(&mut ledger, 7, 7).is_empty());
-        assert_eq!(ledger, vec![(0, 50)]);
-    }
-
-    #[test]
-    fn claim_range_merges_adjacent_intervals() {
-        let mut ledger = vec![(0usize, 10usize), (10, 20)];
-        // Touching (end == lo) intervals merge rather than duplicate.
-        assert_eq!(claim_range(&mut ledger, 20, 30), vec![(20, 30)]);
-        assert_eq!(ledger, vec![(0, 10), (10, 30)]);
-        assert!(claim_range(&mut ledger, 0, 30).is_empty());
-        assert_eq!(ledger, vec![(0, 30)]);
     }
 }

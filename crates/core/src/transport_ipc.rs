@@ -22,15 +22,17 @@
 //! monitor (peer death becomes a typed [`PcommError::PeerPanicked`]
 //! instead of a hang).
 //!
-//! Verify/audit semantics mirror the socket transport exactly — same
-//! `VerifyWire*`/`VerifyStream*` events, with the ipc simplifications
+//! The protocol itself — stream pairing, the range ledger and commits,
+//! barriers, RMA bookkeeping, the shared frame handlers — lives in the
+//! [`Session`] (see [`crate::session`]), which emits the same
+//! `VerifyStream*` events for both backends; this transport supplies
 //! `lane == 0` and `epoch == 0` everywhere (the segment never
 //! reconnects, so there is a single always-epoch-0 lane per pair).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -46,12 +48,12 @@ use pcomm_net::{sys, Mesh};
 use pcomm_trace::EventKind;
 
 use crate::error::{PcommError, PeerSocketState};
-use crate::fabric::{Fabric, PostedRecv, WAIT_SLICE};
-use crate::sync::{Completion, Mutex};
-use crate::transport::{
-    claim_range, complete_spans, decode_abort, encode_abort, PartPair, PartStreamRecv,
-    PartStreamSend, PinnedSend, SendSpan, StreamRecv, Transport, FINALIZE_TIMEOUT, TEARDOWN_SLICE,
+use crate::fabric::{Fabric, WAIT_SLICE};
+use crate::session::{
+    checked_range, Link, PendingRdv, Session, StreamRecv, FINALIZE_TIMEOUT, TEARDOWN_SLICE,
 };
+use crate::sync::{Completion, Mutex};
+use crate::transport::{complete_spans, encode_abort, PartStreamSend, SendSpan, Transport};
 
 /// How long `wait_slice` spins making inline progress before parking on
 /// the completion. Long enough to cover a same-host round trip (the
@@ -103,23 +105,6 @@ struct IpcPeer {
     /// and source buffers for streams toward it (the peer reads those
     /// through its outbound channel).
     arena: Mutex<ArenaAlloc>,
-}
-
-/// A parked remote rendezvous receive: the posted destination plus the
-/// envelope to publish once every `K_RDV` chunk has landed.
-struct RdvIn {
-    posted: PostedRecv,
-    shard: usize,
-    tag: i64,
-    rts_ns: Option<u64>,
-    /// Bytes landed so far (chunks arrive in order on the SPSC ring).
-    received: usize,
-}
-
-/// A pinned rendezvous source waiting for its CTS.
-struct PendingRdvIpc {
-    pinned: PinnedSend,
-    dst: usize,
 }
 
 /// One pushed range: queued while the stream's `K_PART_CTS` is still
@@ -265,6 +250,8 @@ enum Deferred {
 
 /// The shared-memory transport for one rank of a same-host run.
 pub(crate) struct IpcTransport {
+    /// The shared protocol state (see [`crate::session`]).
+    session: Session,
     rank: usize,
     n_ranks: usize,
     segment: Segment,
@@ -273,24 +260,7 @@ pub(crate) struct IpcTransport {
     /// Chunk size for slab-staged bulk transfers (`K_RDV`/`K_PARTF`).
     rdv_chunk: usize,
     peers: Vec<Option<IpcPeer>>,
-    /// Back-reference for trait methods that lack a `fabric` parameter
-    /// (set by `start`; `Weak` breaks the `Fabric → Transport` cycle).
-    fabric_slot: OnceLock<Weak<Fabric>>,
-    next_rdv_id: AtomicU64,
-    pending_rdv: Mutex<HashMap<u64, PendingRdvIpc>>,
-    rdv_in: Mutex<HashMap<(usize, u64), RdvIn>>,
     streams_out: Mutex<HashMap<u64, IpcStreamSend>>,
-    part_registry: Mutex<HashMap<(usize, u64), PartPair>>,
-    streams_in: Mutex<HashMap<(usize, u64), Arc<StreamRecv>>>,
-    barrier_gen: AtomicU64,
-    arrivals: Mutex<HashMap<u64, HashSet<usize>>>,
-    releases: Mutex<HashMap<u64, Arc<Completion>>>,
-    #[allow(clippy::type_complexity)] // announce slot pair, as in the socket transport
-    win_slots: Mutex<HashMap<u64, (Arc<Completion>, Option<usize>)>>,
-    next_get_token: AtomicU64,
-    #[allow(clippy::type_complexity)] // waiter pair, as in the socket transport
-    get_waiters: Mutex<HashMap<u64, (Arc<Completion>, Arc<Mutex<Option<Vec<u8>>>>)>>,
-    abort_sent: AtomicBool,
     progress: Mutex<Option<JoinHandle<()>>>,
     stop: AtomicBool,
     /// Heartbeat publish period, ms.
@@ -324,47 +294,24 @@ impl IpcTransport {
         }
         let fifo_bytes = params.fifo_bytes;
         Arc::new(IpcTransport {
+            session: Session::new(rank, n_ranks),
             rank,
             n_ranks,
             segment,
             fifo_bytes,
             rdv_chunk: ((fifo_bytes / 2).max(1) as usize).min(256 << 10),
             peers,
-            fabric_slot: OnceLock::new(),
-            next_rdv_id: AtomicU64::new(1),
-            pending_rdv: Mutex::new(HashMap::new()),
-            rdv_in: Mutex::new(HashMap::new()),
             streams_out: Mutex::new(HashMap::new()),
-            part_registry: Mutex::new(HashMap::new()),
-            streams_in: Mutex::new(HashMap::new()),
-            barrier_gen: AtomicU64::new(0),
-            arrivals: Mutex::new(HashMap::new()),
-            releases: Mutex::new(HashMap::new()),
-            win_slots: Mutex::new(HashMap::new()),
-            next_get_token: AtomicU64::new(0),
-            get_waiters: Mutex::new(HashMap::new()),
-            abort_sent: AtomicBool::new(false),
             progress: Mutex::new(None),
             stop: AtomicBool::new(false),
             hb_ms: pcomm_net::launch::hb_ms_from_env().unwrap_or(DEFAULT_HB_MS),
         })
     }
 
-    /// The fabric this transport serves, if it is still alive (trait
-    /// methods without a `fabric` parameter route through here; during
-    /// teardown the weak can be gone, and the op is dropped).
-    fn fabric(&self) -> Option<Arc<Fabric>> {
-        self.fabric_slot.get()?.upgrade()
-    }
-
-    /// Spawn the progress/heartbeat thread and publish the fabric
-    /// back-reference. Mirrors `SocketTransport::start`.
+    /// Spawn the progress/heartbeat thread. Mirrors
+    /// `SocketTransport::start`.
     pub(crate) fn start(self: &Arc<IpcTransport>, fabric: &Arc<Fabric>) -> Result<(), PcommError> {
-        let _ = self.fabric_slot.set(Arc::downgrade(fabric));
-        // ORDERING: liveness counter only; peers poll for movement.
-        self.segment
-            .heartbeat(self.rank)
-            .fetch_add(1, Ordering::Relaxed);
+        self.beat();
         let me = Arc::clone(self);
         let fab = Arc::clone(fabric);
         let handle = std::thread::Builder::new()
@@ -512,13 +459,6 @@ impl IpcTransport {
             Body::Slab(body)
         };
         self.push_record(fabric, dst, frame.op(), desc, placed, deadline, force)
-    }
-
-    /// `push_frame` for trait methods that have no `fabric` parameter.
-    fn send_frame(&self, dst: usize, frame: Frame) {
-        if let Some(fabric) = self.fabric() {
-            self.push_frame(&fabric, dst, &frame, None, false);
-        }
     }
 }
 
@@ -671,115 +611,28 @@ impl IpcTransport {
     }
 
     /// Dispatch one decoded frame (the non-ring-native records; bulk
-    /// data uses the `K_*` descriptor kinds instead). Mirrors the
-    /// socket transport's `dispatch` arm for arm.
+    /// data uses the `K_*` descriptor kinds instead): the session takes
+    /// the shared protocol, this transport the rest.
     fn dispatch_frame(&self, fabric: &Fabric, peer: usize, frame: Frame) {
-        match frame {
-            Frame::Eager {
-                shard,
-                ctx,
-                tag,
-                payload,
-            } => fabric.deliver_wire_eager(peer, shard as usize, ctx, tag, &payload),
-            Frame::Rts {
-                shard,
-                ctx,
-                tag,
-                len,
-                rdv_id,
-            } => fabric.deliver_wire_rts(peer, shard as usize, ctx, tag, len as usize, rdv_id),
-            Frame::Cts { rdv_id } => self.handle_cts(fabric, peer, rdv_id),
-            // Zero-length rendezvous only: non-empty payloads ride
-            // `K_RDV` chunks, which never materialise a `Frame`.
-            Frame::RdvData { rdv_id, payload } => {
-                let entry = self.rdv_in.lock().remove(&(peer, rdv_id));
-                if let Some(r) = entry {
-                    fabric.complete_remote_rdv(r.posted, peer, r.tag, r.shard, &payload, r.rts_ns);
-                }
-            }
-            Frame::PartRts {
-                ctx,
-                total_len,
-                rdv_id,
-            } => self.handle_part_rts(fabric, peer, ctx, total_len as usize, rdv_id),
+        match self.session.dispatch(self, fabric, peer, frame) {
+            Some(Frame::Cts { rdv_id }) => self.handle_cts(fabric, peer, rdv_id),
             // The ipc CTS is the payload-less `K_PART_CTS` record; a
             // framed one would be a peer protocol bug, but absorbing it
             // as "no grant" keeps the FSM total.
-            Frame::PartCts { rdv_id } => self.handle_part_cts(fabric, peer, rdv_id, None),
-            Frame::PartData {
+            Some(Frame::PartCts { rdv_id }) => self.handle_part_cts(fabric, peer, rdv_id, None),
+            Some(Frame::PartData {
                 rdv_id,
                 offset,
                 payload,
-            } => self.handle_part_fifo(fabric, peer, rdv_id, offset as usize, &payload),
-            Frame::BarrierArrive { gen } => self.note_arrival(fabric, gen, peer),
-            Frame::BarrierRelease { gen } => self.release_completion(gen).set(),
-            Frame::Heartbeat { .. } => {} // liveness rides the segment counter instead
-            Frame::StreamResync { .. } => {} // shared memory never loses ranges
-            Frame::Abort {
-                kind,
-                a,
-                b,
-                tag,
-                attempts,
-                detail,
-            } => fabric.fail_from_wire(decode_abort(kind, a, b, tag, attempts, detail)),
-            Frame::Bye => {
+            }) => self.handle_part_fifo(fabric, peer, rdv_id, offset as usize, &payload),
+            Some(Frame::Bye) => {
                 if let Some(p) = &self.peers[peer] {
                     p.saw_bye.store(true, Ordering::Release);
                 }
             }
-            Frame::WinAnnounce { win_ctx, len } => {
-                let completion = {
-                    let mut slots = self.win_slots.lock();
-                    let slot = slots
-                        .entry(win_ctx)
-                        .or_insert_with(|| (Completion::new(), None));
-                    slot.1 = Some(len as usize);
-                    Arc::clone(&slot.0)
-                };
-                completion.set();
-            }
-            Frame::Put {
-                win_ctx,
-                offset,
-                payload,
-            } => fabric.apply_remote_put(peer, win_ctx, offset as usize, &payload),
-            Frame::GetReq {
-                win_ctx,
-                offset,
-                len,
-                token,
-            } => match fabric.read_win(win_ctx, offset as usize, len as usize) {
-                Some(data) => {
-                    self.push_frame(
-                        fabric,
-                        peer,
-                        &Frame::GetResp {
-                            token,
-                            payload: data,
-                        },
-                        None,
-                        false,
-                    );
-                }
-                None => fabric.fail(PcommError::misuse(
-                    peer,
-                    format!("get of {len} B at offset {offset} misses window ctx {win_ctx}"),
-                )),
-            },
-            Frame::GetResp { token, payload } => {
-                let waiter = {
-                    let waiters = self.get_waiters.lock();
-                    waiters
-                        .get(&token)
-                        .map(|(c, s)| (Arc::clone(c), Arc::clone(s)))
-                };
-                if let Some((completion, slot)) = waiter {
-                    *slot.lock() = Some(payload);
-                    completion.set();
-                }
-            }
-            Frame::Hello { .. } => {} // mesh rendezvous only; stray copies ignored
+            // Heartbeats ride the segment counter instead, and shared
+            // memory never loses ranges to resync.
+            _ => {}
         }
     }
 }
@@ -794,15 +647,10 @@ impl IpcTransport {
     /// is SPSC and ordered, so chunks land in order and the receiver
     /// can count bytes instead of tracking ranges.
     fn handle_cts(&self, fabric: &Fabric, peer: usize, rdv_id: u64) {
-        let Some(pending) = self.pending_rdv.lock().remove(&rdv_id) else {
-            return; // duplicate or post-abort straggler
+        let Some(pending) = self.session.take_pending_rdv(fabric, rdv_id) else {
+            return; // duplicate, post-abort straggler, or unwinding
         };
-        if fabric.aborted() {
-            // The sender is unwinding via the abort; its buffer may be
-            // on its way out — do not touch it, do not set done.
-            return;
-        }
-        let PendingRdvIpc { pinned, dst } = pending;
+        let PendingRdv { pinned, dst } = pending;
         debug_assert_eq!(dst, peer, "CTS must come from the RTS target");
         if pinned.len == 0 {
             // Zero-length rendezvous: no bytes to chunk; a framed
@@ -861,7 +709,7 @@ impl IpcTransport {
         is_final: bool,
         payload: &[u8],
     ) {
-        let mut rdv_in = self.rdv_in.lock();
+        let mut rdv_in = self.session.remote_recvs.lock();
         let Some(entry) = rdv_in.get_mut(&(src, rdv_id)) else {
             return; // post-abort straggler
         };
@@ -869,18 +717,11 @@ impl IpcTransport {
             rdv_in.remove(&(src, rdv_id));
             return;
         }
-        let end = offset + payload.len();
-        if end > entry.posted.dest_cap {
+        let what = "ipc rendezvous chunk";
+        if let Err(err) = checked_range(src, what, offset, payload.len(), entry.posted.dest_cap) {
             rdv_in.remove(&(src, rdv_id));
             drop(rdv_in);
-            fabric.fail(PcommError::misuse(
-                src,
-                format!(
-                    "ipc rendezvous chunk {offset}+{} overflows a {}-byte destination",
-                    payload.len(),
-                    end - payload.len().min(end)
-                ),
-            ));
+            fabric.fail(err);
             return;
         }
         // SAFETY: invariant (2) — the posted destination is exclusive
@@ -917,137 +758,6 @@ impl IpcTransport {
 // ---------------------------------------------------------------------
 
 impl IpcTransport {
-    /// Receiver: a sender announced a stream. Pair it with a posted
-    /// destination if one is waiting, else park the announcement.
-    fn handle_part_rts(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        ctx: u64,
-        total_len: usize,
-        rdv_id: u64,
-    ) {
-        {
-            let (p16, stream, total) = (src as u16, rdv_id as u32, total_len as u64);
-            fabric
-                .trace()
-                .emit_verify(self.rank as u16, || EventKind::VerifyStreamRts {
-                    peer: p16,
-                    tx: false,
-                    stream,
-                    total_len: total,
-                });
-        }
-        let recv = {
-            let mut reg = self.part_registry.lock();
-            let pair = reg.entry((src, ctx)).or_default();
-            match pair.waiting.pop_front() {
-                Some(recv) => Some(recv),
-                None => {
-                    pair.pending_rts.push_back((rdv_id, total_len));
-                    None
-                }
-            }
-        };
-        if let Some(recv) = recv {
-            self.activate_stream(fabric, src, rdv_id, total_len, recv);
-        }
-    }
-
-    /// Receiver: a posted destination met its announcement — register
-    /// the active stream and answer with a `K_PART_CTS` carrying the
-    /// arena grant (zero-copy) or `u64::MAX` (FIFO fallback: the
-    /// destination is ordinary heap memory the sender cannot reach).
-    fn activate_stream(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        total_len: usize,
-        recv: PartStreamRecv,
-    ) {
-        if recv.total_len != total_len {
-            fabric.fail(PcommError::misuse(
-                src,
-                format!(
-                    "partitioned stream length mismatch: sender announced {total_len} B, \
-                     receiver pinned {} B",
-                    recv.total_len
-                ),
-            ));
-            return;
-        }
-        let trace = fabric.trace();
-        if trace.is_verify() {
-            // Same join events as the socket transport: the receiver is
-            // the only side that knows both the wire stream id and the
-            // verify-layer (req, msg) identities.
-            let stream32 = rdv_id as u32;
-            for msg in recv.msgs.iter() {
-                let Some((req, m16)) = msg.verify_msg else {
-                    continue;
-                };
-                let (off, len32) = (msg.offset as u64, msg.len as u32);
-                trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamMsg {
-                    stream: stream32,
-                    req,
-                    msg: m16,
-                    tx: false,
-                    offset: off,
-                    len: len32,
-                });
-            }
-            let p16 = src as u16;
-            trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
-                peer: p16,
-                tx: true,
-                stream: stream32,
-                epoch: 0,
-            });
-        }
-        // Arena grant: when the pinned destination lies inside the
-        // inbound channel's partition arena (it was handed out by
-        // `alloc_part_dest`), tell the sender its base offset so every
-        // `pready` commits bytes straight into it.
-        let grant = self.peers[src].as_ref().and_then(|peer| {
-            let arena_bytes = peer.inb_ch.arena_bytes();
-            if arena_bytes == 0 {
-                return None;
-            }
-            // SAFETY: offset 0 of a non-empty arena is in bounds; the
-            // pointer is only used for address arithmetic.
-            let a0 = unsafe { peer.inb_ch.arena_ptr(0) } as usize;
-            let base = recv.base as usize;
-            (base >= a0 && base + total_len <= a0 + arena_bytes as usize)
-                .then(|| (base - a0) as u64)
-        });
-        let stream = Arc::new(StreamRecv {
-            base: recv.base,
-            total_len,
-            remaining_total: std::sync::atomic::AtomicUsize::new(total_len),
-            msgs: recv.msgs,
-            copies: recv.copies,
-            committed: Mutex::new(Vec::new()),
-        });
-        self.streams_in.lock().insert((src, rdv_id), stream);
-        let desc = SlotDesc {
-            kind: K_PART_CTS,
-            parts: 0,
-            a: rdv_id,
-            b: grant.unwrap_or(u64::MAX),
-            c: 0,
-        };
-        self.push_record(
-            fabric,
-            src,
-            frame::op::PART_CTS,
-            desc,
-            Body::Inline(&[]),
-            None,
-            false,
-        );
-    }
-
     /// Sender: the receiver pinned its destination — release every
     /// queued range under the arrived grant: publish it for a
     /// cooperative copy when both buffers live in arenas, else ship it.
@@ -1055,17 +765,7 @@ impl IpcTransport {
         if fabric.aborted() {
             return;
         }
-        {
-            let (p16, stream) = (peer as u16, rdv_id as u32);
-            fabric
-                .trace()
-                .emit_verify(self.rank as u16, || EventKind::VerifyStreamCts {
-                    peer: p16,
-                    tx: false,
-                    stream,
-                    epoch: 0,
-                });
-        }
+        self.session.cts_arrived(self, fabric, peer, rdv_id);
         let (target, queued, coop, cts_in) = {
             let mut out = self.streams_out.lock();
             let Some(stream) = out.get_mut(&rdv_id) else {
@@ -1193,17 +893,9 @@ impl IpcTransport {
     /// Sender: the ledger event for bytes put at the receiver's
     /// disposal (shipped, committed, or published for a copy).
     fn emit_tx_data(&self, fabric: &Fabric, target: &StreamTarget, offset: u64, len: usize) {
-        let (peer, stream, len) = (target.dst as u16, target.rdv_id as u32, len as u32);
-        fabric
-            .trace()
-            .emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                peer,
-                lane: 0,
-                tx: true,
-                stream,
-                offset,
-                len,
-            });
+        let (dst, rdv_id) = (target.dst, target.rdv_id);
+        self.session
+            .emit_data_tx(fabric, dst, 0, rdv_id, offset, len);
     }
 
     /// Sender: publish ready range `q` (one whole message) for a
@@ -1283,7 +975,12 @@ impl IpcTransport {
         if fabric.aborted() {
             return None;
         }
-        let stream = self.streams_in.lock().get(&(src, rdv_id)).cloned()?;
+        let stream = self
+            .session
+            .streams_in
+            .lock()
+            .get(&(src, rdv_id))
+            .cloned()?;
         let peer = self.peers[src].as_ref()?;
         let hdr = claim::header_bytes(stream.msgs.len());
         let arena = &peer.out_ch;
@@ -1343,8 +1040,10 @@ impl IpcTransport {
             std::ptr::copy_nonoverlapping(copy.src, copy.stream.base.add(msg.offset), msg.len);
             claim::finish(&*copy.word, copy.rdv_id);
         }
-        let landed =
-            self.commit_stream_range(fabric, src, copy.rdv_id, &copy.stream, msg.offset, msg.len);
+        let (stream, rdv_id) = (&copy.stream, copy.rdv_id);
+        let landed = self
+            .session
+            .commit_range(fabric, src, 0, rdv_id, stream, msg.offset, msg.len);
         // ORDERING: statistic; read after the iteration's waits.
         copy.stream.copies.fetch_add(landed, Ordering::Relaxed);
         let desc = SlotDesc {
@@ -1376,10 +1075,11 @@ impl IpcTransport {
         offset: usize,
         len: usize,
     ) {
-        let Some(stream) = self.stream_range(fabric, src, rdv_id, offset, len) else {
+        let Some(stream) = self.session.stream_range(fabric, src, rdv_id, offset, len) else {
             return;
         };
-        self.commit_stream_range(fabric, src, rdv_id, &stream, offset, len);
+        self.session
+            .commit_range(fabric, src, 0, rdv_id, &stream, offset, len);
     }
 
     /// Receiver: a FIFO-staged `K_PARTF` range — copy it into the
@@ -1392,7 +1092,8 @@ impl IpcTransport {
         offset: usize,
         payload: &[u8],
     ) {
-        let Some(stream) = self.stream_range(fabric, src, rdv_id, offset, payload.len()) else {
+        let len = payload.len();
+        let Some(stream) = self.session.stream_range(fabric, src, rdv_id, offset, len) else {
             return;
         };
         // SAFETY: the range was validated against `total_len` above,
@@ -1402,126 +1103,11 @@ impl IpcTransport {
         unsafe {
             std::ptr::copy_nonoverlapping(payload.as_ptr(), stream.base.add(offset), payload.len());
         }
-        let landed = self.commit_stream_range(fabric, src, rdv_id, &stream, offset, payload.len());
+        let landed = self
+            .session
+            .commit_range(fabric, src, 0, rdv_id, &stream, offset, len);
         // ORDERING: statistic; read after the iteration's waits.
         stream.copies.fetch_add(landed, Ordering::Relaxed);
-    }
-
-    /// Receiver: look up the active stream for `(src, rdv_id)` and
-    /// validate that `offset..offset+len` fits its destination.
-    fn stream_range(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        offset: usize,
-        len: usize,
-    ) -> Option<Arc<StreamRecv>> {
-        if fabric.aborted() {
-            return None;
-        }
-        let stream = self.streams_in.lock().get(&(src, rdv_id)).cloned()?;
-        match offset.checked_add(len) {
-            Some(end) if end <= stream.total_len => Some(stream),
-            _ => {
-                fabric.fail(PcommError::misuse(
-                    src,
-                    format!(
-                        "partitioned stream range {offset}+{len} overflows a \
-                         {}-byte destination",
-                        stream.total_len
-                    ),
-                ));
-                None
-            }
-        }
-    }
-
-    /// Receiver: the bytes of `offset..offset+len` are in the pinned
-    /// destination — flip every message completion the range finishes
-    /// and retire the stream once the whole buffer has landed; returns
-    /// how many messages it completed. Same dedup ledger as the socket
-    /// transport (the wire can't replay on ipc, but the audit FSM
-    /// proves that rather than assuming it).
-    fn commit_stream_range(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        rdv_id: u64,
-        stream: &StreamRecv,
-        offset: usize,
-        len: usize,
-    ) -> u64 {
-        let end = offset + len;
-        let trace = fabric.trace();
-        let stream32 = rdv_id as u32;
-        {
-            let (p16, off64, len32) = (src as u16, offset as u64, len as u32);
-            trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamData {
-                peer: p16,
-                lane: 0,
-                tx: false,
-                stream: stream32,
-                offset: off64,
-                len: len32,
-            });
-        }
-        let fresh = {
-            let mut committed = stream.committed.lock();
-            claim_range(&mut committed, offset, end)
-        };
-        let fresh_bytes: usize = fresh.iter().map(|&(lo, hi)| hi - lo).sum();
-        if fresh_bytes == 0 {
-            return 0; // pure duplicate: every byte landed before
-        }
-        for &(f_lo, f_hi) in &fresh {
-            let (p16, lo64, flen) = (src as u16, f_lo as u64, (f_hi - f_lo) as u32);
-            trace.emit_verify(self.rank as u16, || EventKind::VerifyStreamCommit {
-                peer: p16,
-                lane: 0,
-                stream: stream32,
-                lo: lo64,
-                len: flen,
-            });
-        }
-        let mut msgs_done = 0u16;
-        for &(f_lo, f_hi) in &fresh {
-            for msg in &stream.msgs {
-                let lo = msg.offset.max(f_lo);
-                let hi = (msg.offset + msg.len).min(f_hi);
-                if lo >= hi {
-                    continue;
-                }
-                let overlap = hi - lo;
-                // AcqRel: the final decrement acquires every earlier
-                // committer's bytes, so the completion flip below
-                // publishes a fully written message range. The ledger
-                // claim above guarantees each byte is subtracted exactly
-                // once, so this never underflows.
-                let before = msg.remaining.fetch_sub(overlap, Ordering::AcqRel);
-                if before == overlap {
-                    fabric.complete_stream_msg(&msg.completion, msg.verify_msg);
-                    msgs_done += 1;
-                }
-            }
-        }
-        let (off64, bytes64) = (offset as u64, fresh_bytes as u64);
-        trace.emit(self.rank as u16, || EventKind::StreamCommit {
-            lane: 0,
-            msgs: msgs_done,
-            offset: off64,
-            bytes: bytes64,
-        });
-        // AcqRel: pairs with the other committers' decrements so the
-        // map removal below observes a fully committed stream.
-        if stream
-            .remaining_total
-            .fetch_sub(fresh_bytes, Ordering::AcqRel)
-            == fresh_bytes
-        {
-            self.streams_in.lock().remove(&(src, rdv_id));
-        }
-        msgs_done as u64
     }
 }
 
@@ -1530,35 +1116,6 @@ impl IpcTransport {
 // ---------------------------------------------------------------------
 
 impl IpcTransport {
-    /// Get-or-create the release completion for barrier generation
-    /// `gen` (a drain pass and the waiting rank race to create it).
-    fn release_completion(&self, gen: u64) -> Arc<Completion> {
-        Arc::clone(self.releases.lock().entry(gen).or_default())
-    }
-
-    /// Rank 0: record `from`'s arrival for `gen`; on the last distinct
-    /// one, broadcast the release and complete the local waiter.
-    fn note_arrival(&self, fabric: &Fabric, gen: u64, from: usize) {
-        debug_assert_eq!(self.rank, 0, "only rank 0 coordinates barriers");
-        let all_in = {
-            let mut arrivals = self.arrivals.lock();
-            let ranks = arrivals.entry(gen).or_default();
-            ranks.insert(from);
-            if ranks.len() == self.n_ranks {
-                arrivals.remove(&gen);
-                true
-            } else {
-                false
-            }
-        };
-        if all_in {
-            for peer in 1..self.n_ranks {
-                self.push_frame(fabric, peer, &Frame::BarrierRelease { gen }, None, false);
-            }
-            self.release_completion(gen).set();
-        }
-    }
-
     /// The "pcomm-ipc" thread body: drain inbound channels, publish the
     /// heartbeat, watch peers' heartbeats, and park on this rank's
     /// doorbell while idle. App threads waiting in `wait_slice` do the
@@ -1598,15 +1155,19 @@ impl IpcTransport {
         }
     }
 
+    /// Publish this rank's liveness: one tick of its heartbeat word.
+    fn beat(&self) {
+        let word = self.segment.heartbeat(self.rank);
+        // ORDERING: liveness counter only; peers poll for movement, no
+        // memory is published through it.
+        word.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Publish this rank's liveness and check every attached peer's:
     /// a heartbeat word that has not moved for 7/4 heartbeat periods
     /// while the peer never said `Bye` means its process died mid-run.
     fn heartbeat_tick(&self, fabric: &Fabric) {
-        // ORDERING: liveness counter only; peers poll for movement, no
-        // memory is published through it.
-        self.segment
-            .heartbeat(self.rank)
-            .fetch_add(1, Ordering::Relaxed);
+        self.beat();
         let stale_after = Duration::from_millis(self.hb_ms * 7 / 4);
         for (r, peer) in self.peers.iter().enumerate() {
             let Some(peer) = peer else { continue };
@@ -1652,41 +1213,14 @@ impl IpcTransport {
     /// the `Bye`s always flow. Aborted runs broadcast the abort and
     /// force-push `Bye` under a hard budget. Never unwinds.
     pub(crate) fn finalize(&self, fabric: &Fabric) {
-        if !fabric.aborted() {
-            // ORDERING: generation allocator — uniqueness only; the
-            // value travels to peers inside frames, not via memory.
-            let gen = self.barrier_gen.fetch_add(1, Ordering::Relaxed);
-            let completion = self.release_completion(gen);
-            if self.rank == 0 {
-                self.note_arrival(fabric, gen, self.rank);
-            } else {
-                self.push_frame(fabric, 0, &Frame::BarrierArrive { gen }, None, false);
+        self.session.finalize_barrier(self, fabric, |completion| {
+            if !self.progress_pass(fabric) {
+                completion.wait_timeout(TEARDOWN_SLICE);
             }
-            let deadline = Instant::now() + FINALIZE_TIMEOUT;
-            loop {
-                if completion.is_set() || fabric.aborted() {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    fabric.fail(PcommError::Misuse {
-                        rank: Some(self.rank),
-                        detail: format!(
-                            "ipc finalize barrier timed out after {}s: a peer never \
-                             reached teardown",
-                            FINALIZE_TIMEOUT.as_secs()
-                        ),
-                    });
-                    break;
-                }
-                if !self.progress_pass(fabric) {
-                    completion.wait_timeout(TEARDOWN_SLICE);
-                }
-            }
-            self.releases.lock().remove(&gen);
-        }
+        });
         if fabric.aborted() {
             if let Some(err) = fabric.failure_snapshot() {
-                self.broadcast_abort(&err);
+                self.broadcast_abort(fabric, &err);
             }
         }
         let bye_deadline = Instant::now() + TEARDOWN_PUSH_BUDGET;
@@ -1725,78 +1259,73 @@ impl IpcTransport {
 // The Transport implementation.
 // ---------------------------------------------------------------------
 
-impl Transport for IpcTransport {
-    fn local_rank(&self) -> usize {
-        self.rank
+/// The ipc byte mover as the session sees it.
+impl Link for IpcTransport {
+    fn send(&self, fabric: &Fabric, dst: usize, frame: Frame) {
+        self.push_frame(fabric, dst, &frame, None, false);
     }
 
-    fn is_multiproc(&self) -> bool {
-        true
-    }
-
-    fn ship_eager(&self, dst: usize, shard: usize, ctx: u64, tag: i64, data: &[u8]) {
-        self.send_frame(
-            dst,
-            Frame::Eager {
-                shard: shard as u16,
-                ctx,
-                tag,
-                payload: data.to_vec(),
-            },
-        );
-    }
-
-    fn ship_rts(&self, dst: usize, shard: usize, ctx: u64, tag: i64, pinned: PinnedSend) {
-        // ORDERING: id allocator — only uniqueness matters; the id
-        // reaches the peer inside the Rts frame, not via memory.
-        let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
-        let len = pinned.len as u64;
-        self.pending_rdv
-            .lock()
-            .insert(rdv_id, PendingRdvIpc { pinned, dst });
-        self.send_frame(
-            dst,
-            Frame::Rts {
-                shard: shard as u16,
-                ctx,
-                tag,
-                len,
-                rdv_id,
-            },
-        );
-    }
-
-    fn accept_remote_rdv(
+    /// Answer with a `K_PART_CTS` carrying the arena grant (zero-copy)
+    /// or `u64::MAX` (FIFO fallback: the destination is ordinary heap
+    /// memory the sender cannot reach). The grant is the destination's
+    /// base offset when it lies inside the inbound channel's partition
+    /// arena (it was handed out by `alloc_part_dest`), so every `pready`
+    /// commits bytes straight into it.
+    fn send_part_cts(
         &self,
+        fabric: &Fabric,
         src: usize,
         rdv_id: u64,
-        posted: PostedRecv,
-        shard: usize,
-        tag: i64,
-        rts_ns: Option<u64>,
+        stream: &StreamRecv,
+        _: bool,
     ) {
-        self.rdv_in.lock().insert(
-            (src, rdv_id),
-            RdvIn {
-                posted,
-                shard,
-                tag,
-                rts_ns,
-                received: 0,
-            },
-        );
-        self.send_frame(src, Frame::Cts { rdv_id });
+        let grant = self.peers[src].as_ref().and_then(|peer| {
+            let arena_bytes = peer.inb_ch.arena_bytes();
+            if arena_bytes == 0 {
+                return None;
+            }
+            // SAFETY: offset 0 of a non-empty arena is in bounds; the
+            // pointer is only used for address arithmetic.
+            let a0 = unsafe { peer.inb_ch.arena_ptr(0) } as usize;
+            let base = stream.base as usize;
+            (base >= a0 && base + stream.total_len <= a0 + arena_bytes as usize)
+                .then(|| (base - a0) as u64)
+        });
+        let desc = SlotDesc {
+            kind: K_PART_CTS,
+            parts: 0,
+            a: rdv_id,
+            b: grant.unwrap_or(u64::MAX),
+            c: 0,
+        };
+        let op = frame::op::PART_CTS;
+        self.push_record(fabric, src, op, desc, Body::Inline(&[]), None, false);
     }
 
-    fn part_stream_begin(&self, dst: usize, ctx: u64, send: PartStreamSend) -> u64 {
+    fn verify_epoch(&self, _: usize) -> u32 {
+        0 // the segment never reconnects
+    }
+}
+
+impl Transport for IpcTransport {
+    fn session(&self) -> &Session {
+        &self.session
+    }
+
+    fn part_stream_begin(
+        &self,
+        fabric: &Fabric,
+        dst: usize,
+        ctx: u64,
+        send: PartStreamSend,
+    ) -> u64 {
         let PartStreamSend {
             total_len,
             spans,
             src_grant,
             copies,
         } = send;
-        // ORDERING: id allocator (see `ship_rts`) — uniqueness only.
-        let rdv_id = self.next_rdv_id.fetch_add(1, Ordering::Relaxed);
+        let rdv_id = self.session.next_id();
         // Register before the RTS leaves so a fast K_PART_CTS finds us.
         self.streams_out.lock().insert(
             rdv_id,
@@ -1814,11 +1343,13 @@ impl Transport for IpcTransport {
                 open: 0,
             },
         );
-        self.send_frame(
+        let total_len = total_len as u64;
+        self.send(
+            fabric,
             dst,
             Frame::PartRts {
                 ctx,
-                total_len: total_len as u64,
+                total_len,
                 rdv_id,
             },
         );
@@ -1932,127 +1463,8 @@ impl Transport for IpcTransport {
         }
     }
 
-    fn part_stream_post(&self, fabric: &Fabric, src: usize, ctx: u64, recv: PartStreamRecv) {
-        let activate = {
-            let mut reg = self.part_registry.lock();
-            let pair = reg.entry((src, ctx)).or_default();
-            if let Some((rdv_id, total_len)) = pair.pending_rts.pop_front() {
-                Some((rdv_id, total_len, recv))
-            } else {
-                pair.waiting.push_back(recv);
-                None
-            }
-        };
-        if let Some((rdv_id, total_len, recv)) = activate {
-            self.activate_stream(fabric, src, rdv_id, total_len, recv);
-        }
-    }
-
-    fn barrier(&self, fabric: &Fabric, rank: usize) {
-        // ORDERING: generation allocator (see `finalize`) — uniqueness
-        // only; barrier ordering comes from the records themselves.
-        let gen = self.barrier_gen.fetch_add(1, Ordering::Relaxed);
-        let completion = self.release_completion(gen);
-        if self.rank == 0 {
-            self.note_arrival(fabric, gen, self.rank);
-        } else {
-            self.push_frame(fabric, 0, &Frame::BarrierArrive { gen }, None, false);
-        }
-        fabric.wait_on(&completion, rank, || {
-            (format!("barrier (generation {gen})"), None, None)
-        });
-        self.releases.lock().remove(&gen);
-    }
-
-    fn announce_win(&self, origin: usize, win_ctx: u64, len: usize) {
-        self.send_frame(
-            origin,
-            Frame::WinAnnounce {
-                win_ctx,
-                len: len as u64,
-            },
-        );
-    }
-
-    fn wait_win_announce(&self, fabric: &Fabric, rank: usize, win_ctx: u64) -> usize {
-        let completion = {
-            let mut slots = self.win_slots.lock();
-            Arc::clone(
-                &slots
-                    .entry(win_ctx)
-                    .or_insert_with(|| (Completion::new(), None))
-                    .0,
-            )
-        };
-        fabric.wait_on(&completion, rank, || {
-            (format!("attach_win(ctx={win_ctx})"), None, None)
-        });
-        self.win_slots
-            .lock()
-            .get(&win_ctx)
-            .and_then(|slot| slot.1)
-            // PANIC: the completion waited on above is signalled only
-            // by the WinAnnounce handler, which stores the length
-            // before signalling.
-            .expect("announced window carries a length")
-    }
-
-    fn put(&self, target: usize, win_ctx: u64, offset: usize, data: &[u8]) {
-        self.send_frame(
-            target,
-            Frame::Put {
-                win_ctx,
-                offset: offset as u64,
-                payload: data.to_vec(),
-            },
-        );
-    }
-
-    fn get(
-        &self,
-        fabric: &Fabric,
-        rank: usize,
-        target: usize,
-        win_ctx: u64,
-        offset: usize,
-        len: usize,
-    ) -> Vec<u8> {
-        // ORDERING: token allocator — uniqueness only, the token rides
-        // inside the GetReq frame.
-        let token = self.next_get_token.fetch_add(1, Ordering::Relaxed);
-        let completion = Completion::new();
-        let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-        self.get_waiters
-            .lock()
-            .insert(token, (Arc::clone(&completion), Arc::clone(&slot)));
-        self.push_frame(
-            fabric,
-            target,
-            &Frame::GetReq {
-                win_ctx,
-                offset: offset as u64,
-                len: len as u64,
-                token,
-            },
-            None,
-            false,
-        );
-        fabric.wait_on(&completion, rank, || {
-            (
-                format!("rma get({len} B from rank {target})"),
-                None,
-                Some(target),
-            )
-        });
-        self.get_waiters.lock().remove(&token);
-        let data = slot.lock().take();
-        // PANIC: the completion waited on above is signalled only by
-        // the GetResp handler, which fills the slot before signalling.
-        data.expect("completed get carries its payload")
-    }
-
     fn peer_states(&self) -> Vec<PeerSocketState> {
-        let pending = self.pending_rdv.lock();
+        let pending = self.session.pending_rdv.lock();
         let streams = self.streams_out.lock();
         self.peers
             .iter()
@@ -2082,19 +1494,14 @@ impl Transport for IpcTransport {
             .collect()
     }
 
-    fn broadcast_abort(&self, err: &PcommError) {
-        if self.abort_sent.swap(true, Ordering::SeqCst) {
+    fn broadcast_abort(&self, fabric: &Fabric, err: &PcommError) {
+        if !self.session.first_abort() {
             return;
         }
-        let Some(fabric) = self.fabric() else {
-            return;
-        };
         let frame = encode_abort(err);
         let deadline = Instant::now() + TEARDOWN_PUSH_BUDGET;
-        for peer in 0..self.n_ranks {
-            if peer != self.rank {
-                self.push_frame(&fabric, peer, &frame, Some(deadline), true);
-            }
+        for peer in (0..self.n_ranks).filter(|&p| p != self.rank) {
+            self.push_frame(fabric, peer, &frame, Some(deadline), true);
         }
     }
 

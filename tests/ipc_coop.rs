@@ -1,7 +1,7 @@
 //! Cooperative copy on the ipc fabric (DESIGN.md §15): the send buffer
 //! lives in the shared segment, `pready` only publishes each message,
 //! and whichever process claims it first makes the one copy. Two real
-//! processes per test, spawned the way `net_agreement.rs` spawns them
+//! processes per test, spawned by the shared `tests/spawn` harness
 //! (this test binary re-run as each rank with the `PCOMM_NET_*`
 //! environment); every child body is an empty no-op when run as an
 //! ordinary test.
@@ -11,13 +11,13 @@
 //! two counts must add up to the message count — each message copied
 //! exactly once — whichever side did it.
 
-use std::io::Read;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod spawn;
+
+use std::time::Duration;
 
 use pcomm::core::part::{PartOptions, PrecvRequest, PsendRequest};
 use pcomm::core::{Comm, PcommError, Universe};
-use pcomm::net::{launch, Backend, MultiprocEnv};
+use pcomm::net::MultiprocEnv;
 
 /// Rank 1 sends, rank 0 receives, in every workload below.
 const SENDER: usize = 1;
@@ -274,55 +274,13 @@ fn ipc_coop_two_way_child() {
 /// Spawn both ranks of `child` over the ipc fabric with `extra` env and
 /// a hard deadline; returns each rank's exit status and output file.
 fn run_pair(child_test: &str, extra: &[(&str, &str)]) -> Vec<(i32, String, String)> {
-    let dir = launch::unique_rendezvous_dir().expect("rendezvous dir");
-    let spmd = MultiprocEnv {
-        rank: 0,
-        n_ranks: 2,
-        dir: dir.clone(),
-        backend: Backend::Uds,
-    };
-    let exe = std::env::current_exe().expect("test binary path");
-    let children: Vec<Child> = (0..2)
-        .map(|rank| {
-            let mut cmd = Command::new(&exe);
-            cmd.args([child_test, "--exact", "--nocapture"])
-                .env("PCOMM_NET_FABRIC", "ipc")
-                .env_remove("PCOMM_FAULTS")
-                .env_remove("PCOMM_VERIFY")
-                .stdout(Stdio::null())
-                .stderr(Stdio::piped());
-            for (k, v) in extra {
-                cmd.env(k, v);
-            }
-            spmd.apply_to(&mut cmd, rank);
-            cmd.spawn().expect("spawn SPMD child")
-        })
-        .collect();
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let outs = children
+    let mut set = vec![("PCOMM_NET_FABRIC", "ipc")];
+    set.extend_from_slice(extra);
+    let remove = ["PCOMM_FAULTS", "PCOMM_VERIFY"];
+    spawn::run_ranks(child_test, 2, &set, &remove, Duration::from_secs(120))
         .into_iter()
-        .enumerate()
-        .map(|(rank, mut child)| {
-            let status = loop {
-                if let Some(status) = child.try_wait().expect("poll child") {
-                    break status;
-                }
-                if Instant::now() >= deadline {
-                    let _ = child.kill();
-                    panic!("{child_test} rank {rank} hung past the deadline");
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            };
-            let mut stderr = String::new();
-            if let Some(mut s) = child.stderr.take() {
-                let _ = s.read_to_string(&mut stderr);
-            }
-            let out = std::fs::read_to_string(dir.join(format!("out-{rank}"))).unwrap_or_default();
-            (status.code().unwrap_or(-1), out, stderr)
-        })
-        .collect();
-    let _ = std::fs::remove_dir_all(&dir);
-    outs
+        .map(|run| (run.code, run.out.unwrap_or_default(), run.stderr))
+        .collect()
 }
 
 /// Both ranks succeeded; returns (receiver, sender) per-iteration copy

@@ -6,13 +6,13 @@
 //! process must come back as a structured `PeerPanicked` error on the
 //! survivor instead of a hang.
 
-use std::io::Read;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod spawn;
+
+use std::time::Duration;
 
 use pcomm::core::part::PartOptions;
 use pcomm::core::{PcommError, Universe};
-use pcomm::net::{launch, Backend, MultiprocEnv};
+use pcomm::net::MultiprocEnv;
 
 const ECHO_TAGS: i64 = 16;
 
@@ -171,136 +171,85 @@ fn net_chaos_kill_child() {
     }
 }
 
-fn spawn_mesh(
-    child_test: &str,
-    faults: Option<&str>,
-    verify: bool,
-) -> (std::path::PathBuf, Vec<Child>) {
-    let dir = launch::unique_rendezvous_dir().expect("rendezvous dir");
-    let spmd = MultiprocEnv {
-        rank: 0,
-        n_ranks: 2,
-        dir: dir.clone(),
-        backend: Backend::Uds,
-    };
-    let exe = std::env::current_exe().expect("test binary path");
-    let children = (0..2)
-        .map(|rank| {
-            let mut cmd = Command::new(&exe);
-            cmd.args([child_test, "--exact", "--nocapture"])
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped());
-            match faults {
-                Some(spec) => cmd.env("PCOMM_FAULTS", spec),
-                None => cmd.env_remove("PCOMM_FAULTS"),
-            };
-            if verify {
-                cmd.env("PCOMM_VERIFY", "1");
-            } else {
-                cmd.env_remove("PCOMM_VERIFY");
-            }
-            spmd.apply_to(&mut cmd, rank);
-            cmd.spawn().expect("spawn SPMD child")
-        })
-        .collect();
-    (dir, children)
-}
-
-/// Wait for a child with a hard deadline; returns its exit code.
-fn wait_code(mut child: Child, what: &str) -> i32 {
-    let deadline = Instant::now() + Duration::from_secs(180);
-    loop {
-        if let Some(status) = child.try_wait().expect("poll child") {
-            let code = status.code().unwrap_or(-1);
-            if code != 0 && code != 42 {
-                let mut err = String::new();
-                if let Some(mut s) = child.stderr.take() {
-                    let _ = s.read_to_string(&mut err);
-                }
-                panic!("{what} exited with {code}\n--- stderr ---\n{err}");
-            }
-            return code;
-        }
-        if Instant::now() >= deadline {
-            let _ = child.kill();
-            panic!("{what} hung past the deadline");
-        }
-        std::thread::sleep(Duration::from_millis(50));
+/// Run `child_test` as a two-rank UDS mesh under `faults` (or none)
+/// and with or without `PCOMM_VERIFY=1`; returns each rank's exit code.
+/// Any exit other than 0 or the kill test's deliberate 42 fails with
+/// that rank's stderr.
+fn rank_codes(child_test: &str, faults: Option<&str>, verify: bool) -> Vec<i32> {
+    let mut set = Vec::new();
+    let mut remove = Vec::new();
+    match faults {
+        Some(spec) => set.push(("PCOMM_FAULTS", spec)),
+        None => remove.push("PCOMM_FAULTS"),
     }
+    if verify {
+        set.push(("PCOMM_VERIFY", "1"));
+    } else {
+        remove.push("PCOMM_VERIFY");
+    }
+    let runs = spawn::run_ranks(child_test, 2, &set, &remove, Duration::from_secs(180));
+    for (rank, run) in runs.iter().enumerate() {
+        assert!(
+            run.code == 0 || run.code == 42,
+            "rank {rank} exited with {}\n--- stderr ---\n{}",
+            run.code,
+            run.stderr
+        );
+    }
+    runs.iter().map(|run| run.code).collect()
 }
 
 #[test]
 fn seeded_drops_over_uds_recover_via_resend() {
-    let (dir, children) = spawn_mesh(
+    let codes = rank_codes(
         "net_chaos_recovery_child",
         Some("seed=7,drop=0.5,retries=24"),
         false,
     );
-    for (rank, child) in children.into_iter().enumerate() {
-        assert_eq!(wait_code(child, &format!("rank {rank}")), 0);
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    assert_eq!(codes, [0, 0]);
 }
 
 #[test]
 fn certain_drop_over_uds_is_message_lost_on_both_ranks() {
-    let (dir, children) = spawn_mesh(
+    let codes = rank_codes(
         "net_chaos_lost_child",
         Some("seed=1,drop=1.0,retries=0"),
         false,
     );
-    for (rank, child) in children.into_iter().enumerate() {
-        // Exit 0 means the child saw exactly MessageLost — on both sides.
-        assert_eq!(wait_code(child, &format!("rank {rank}")), 0);
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    // Exit 0 means the child saw exactly MessageLost — on both sides.
+    assert_eq!(codes, [0, 0]);
 }
 
 #[test]
 fn seeded_part_data_drops_over_uds_recover_via_resend() {
-    let (dir, children) = spawn_mesh(
+    let codes = rank_codes(
         "net_chaos_stream_recovery_child",
         Some("seed=11,drop=0.5,retries=24"),
         false,
     );
-    for (rank, child) in children.into_iter().enumerate() {
-        assert_eq!(wait_code(child, &format!("rank {rank}")), 0);
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    assert_eq!(codes, [0, 0]);
 }
 
 #[test]
 fn certain_part_data_drop_is_message_lost_on_both_ranks() {
-    let (dir, children) = spawn_mesh(
+    let codes = rank_codes(
         "net_chaos_stream_lost_child",
         Some("seed=3,drop=1.0,retries=0"),
         false,
     );
-    for (rank, child) in children.into_iter().enumerate() {
-        // Exit 0 means the child saw exactly MessageLost — on both sides.
-        assert_eq!(wait_code(child, &format!("rank {rank}")), 0);
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    // Exit 0 means the child saw exactly MessageLost — on both sides.
+    assert_eq!(codes, [0, 0]);
 }
 
 #[test]
 fn streaming_transfer_is_clean_under_verify() {
-    let (dir, children) = spawn_mesh("net_chaos_stream_verify_child", None, true);
-    for (rank, child) in children.into_iter().enumerate() {
-        assert_eq!(wait_code(child, &format!("rank {rank}")), 0);
-    }
-    let _ = std::fs::remove_dir_all(dir);
+    let codes = rank_codes("net_chaos_stream_verify_child", None, true);
+    assert_eq!(codes, [0, 0]);
 }
 
 #[test]
 fn killed_rank_process_surfaces_peer_panicked_not_a_hang() {
-    let (dir, children) = spawn_mesh("net_chaos_kill_child", None, false);
-    let codes: Vec<i32> = children
-        .into_iter()
-        .enumerate()
-        .map(|(rank, child)| wait_code(child, &format!("rank {rank}")))
-        .collect();
+    let codes = rank_codes("net_chaos_kill_child", None, false);
     assert_eq!(codes[0], 0, "rank 0 must report PeerPanicked and pass");
     assert_eq!(codes[1], 42, "rank 1 died by design");
-    let _ = std::fs::remove_dir_all(dir);
 }
